@@ -47,26 +47,10 @@ struct ShardPoint {
   int64_t bytes_wire = 0;
 };
 
-/// One row-space sharding run: the base-partition build is distributed
-/// over row ranges (num_shards stays 0 — the traversal itself runs
-/// unsharded), so the interesting series is the wire volume per shard,
-/// which must shrink as O(table/row_shards).
-struct RowShardPoint {
-  int row_shards = 0;
-  ShardTransport transport = ShardTransport::kInProcess;
-  bool compression = true;
-  RunResult run;
-  int64_t bytes_shipped = 0;
-  int64_t bytes_raw = 0;
-  int64_t bytes_wire = 0;
-  std::vector<int64_t> bytes_per_shard;
-};
-
 struct DatasetSeries {
   std::string name;
   int64_t rows = 0;
   std::vector<ShardPoint> points;
-  std::vector<RowShardPoint> row_points;
 };
 
 DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
@@ -146,61 +130,6 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
       }
     }
   }
-
-  // Row-space sharding: the base-partition build fans out over
-  // contiguous row ranges and the class-stitching reducer reassembles
-  // canonical partitions; the traversal then runs unsharded. Per-shard
-  // wire volume is the headline: each shard receives only its own row
-  // slice, so max(bytes/shard) must fall as O(table/row_shards).
-  std::printf("\n%16s %12s %9s %8s %8s %11s %10s %13s\n",
-              "row-shards/trans", "wall(s)", "vs base", "#AOC", "#AOFD",
-              "wire(MiB)", "raw(MiB)", "max/shard(MiB)");
-  for (int row_shards : {1, 2, 4, 8}) {
-    for (ShardTransport transport : kTransports) {
-      for (bool compression : {true, false}) {
-        if (!compression && row_shards != 4) continue;
-        DiscoveryOptions options;
-        options.validator = ValidatorKind::kOptimal;
-        options.epsilon = 0.10;
-        options.pool = pool;
-        options.row_shards = row_shards;
-        options.shard_transport = transport;
-        options.shard_wire_compression = compression;
-        RowShardPoint point;
-        point.row_shards = row_shards;
-        point.transport = transport;
-        point.compression = compression;
-        point.run = RunDiscoveryWithOptions(enc, options);
-        point.bytes_shipped = point.run.full.stats.row_shard_bytes_shipped;
-        point.bytes_raw = point.run.full.stats.row_shard_bytes_raw;
-        point.bytes_wire = point.run.full.stats.row_shard_bytes_wire;
-        point.bytes_per_shard =
-            point.run.full.stats.row_shard_bytes_per_shard;
-        int64_t max_shard = 0;
-        for (int64_t b : point.bytes_per_shard) {
-          if (b > max_shard) max_shard = b;
-        }
-        const bool deterministic = point.run.ocs == baseline_ocs &&
-                                   point.run.ofds == baseline_ofds &&
-                                   point.run.full.shard_status.ok();
-        char label[28];
-        std::snprintf(label, sizeof(label), "%d/%s%s", row_shards,
-                      ShardTransportToString(transport),
-                      compression ? "" : "-raw");
-        std::printf(
-            "%16s %12.3f %8.2fx %8lld %8lld %11.2f %10.2f %13.2f%s\n",
-            label, point.run.seconds,
-            point.run.seconds > 0 ? baseline / point.run.seconds : 0.0,
-            static_cast<long long>(point.run.ocs),
-            static_cast<long long>(point.run.ofds),
-            static_cast<double>(point.bytes_wire) / (1 << 20),
-            static_cast<double>(point.bytes_raw) / (1 << 20),
-            static_cast<double>(max_shard) / (1 << 20),
-            deterministic ? "" : "  <-- DETERMINISM VIOLATION");
-        series.row_points.push_back(std::move(point));
-      }
-    }
-  }
   return series;
 }
 
@@ -246,30 +175,6 @@ int WriteJson(const char* path, const std::vector<DatasetSeries>& all,
       }
       std::fprintf(f, "]}%s\n", i + 1 < series.points.size() ? "," : "");
     }
-    std::fprintf(f, "    ], \"row_shard_points\": [\n");
-    for (size_t i = 0; i < series.row_points.size(); ++i) {
-      const RowShardPoint& p = series.row_points[i];
-      std::fprintf(
-          f,
-          "      {\"row_shards\": %d, \"transport\": \"%s\", "
-          "\"compression\": %s, \"seconds\": %.6f, \"ocs\": %lld, "
-          "\"ofds\": %lld, \"bytes_shipped\": %lld, "
-          "\"bytes_raw\": %lld, \"bytes_wire\": %lld, "
-          "\"bytes_per_shard\": [",
-          p.row_shards, ShardTransportToString(p.transport),
-          p.compression ? "true" : "false", p.run.seconds,
-          static_cast<long long>(p.run.ocs),
-          static_cast<long long>(p.run.ofds),
-          static_cast<long long>(p.bytes_shipped),
-          static_cast<long long>(p.bytes_raw),
-          static_cast<long long>(p.bytes_wire));
-      for (size_t j = 0; j < p.bytes_per_shard.size(); ++j) {
-        std::fprintf(f, "%lld%s",
-                     static_cast<long long>(p.bytes_per_shard[j]),
-                     j + 1 < p.bytes_per_shard.size() ? ", " : "");
-      }
-      std::fprintf(f, "]}%s\n", i + 1 < series.row_points.size() ? "," : "");
-    }
     std::fprintf(f, "    ]}%s\n", d + 1 < all.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -296,10 +201,7 @@ int main(int argc, char** argv) {
             " traffic with every codec forced raw (ratio = raw/wire); the"
             " *-raw rows at 4 shards actually ship raw frames. The"
             " inproc-vs-socket gap is the byte-stream cost of going"
-            " off-box. The row-shards section distributes the base-partition"
-            " build over contiguous row ranges (traversal unsharded):"
-            " max/shard(MiB) is the largest table slice any one shard"
-            " received, which must fall as O(table/row_shards).");
+            " off-box.");
 
   aod::exec::ThreadPool pool(threads);
   std::vector<DatasetSeries> all;

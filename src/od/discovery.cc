@@ -18,7 +18,6 @@
 #include "od/validator_scratch.h"
 #include "partition/partition_cache.h"
 #include "shard/coordinator.h"
-#include "shard/row_sharding.h"
 
 namespace aod {
 namespace {
@@ -138,14 +137,6 @@ struct Driver {
   /// when coordinator setup failed (coordinator_status says why).
   std::unique_ptr<shard::ShardCoordinator> coordinator;
   Status coordinator_status;
-  /// Row-shard phase products (options.row_shards >= 1): the stitched
-  /// base partitions, bit-identical to FromColumn, consumed by the
-  /// unsharded preload (moved out) or the candidate-space coordinator's
-  /// bootstrap (borrowed for the encode, then dropped). Empty after
-  /// consumption, or when the phase failed — row_shard_status says why,
-  /// and Run() aborts with it as DiscoveryResult::shard_status.
-  std::vector<StrippedPartition> row_bases;
-  Status row_shard_status;
 
   /// Validator scratch is pooled like PartitionScratch: a worker borrows
   /// one instance per validation task, so steady-state validation does no
@@ -169,51 +160,17 @@ struct Driver {
     // stays empty rather than holding a dead copy of the base footprint.
     // A warm provider (resident service, same table fingerprint) swaps
     // the per-column sort for a copy of an already-canonical value.
-    // Row-space sharding runs first: the stitched bases then stand in
-    // for FromColumn everywhere below. The phase is fail-stop — on any
-    // transport or decode error Run() aborts before the traversal with
-    // the typed status, so a half-stitched base can never be used.
-    if (options.row_shards >= 1) {
-      shard::ShardTransportOptions rtopts;
-      rtopts.transport = options.shard_transport;
-      rtopts.runner_path = options.shard_runner_path;
-      rtopts.io_timeout_seconds = options.shard_io_timeout_seconds;
-      shard::RowShardStats rstats;
-      Result<std::vector<StrippedPartition>> bases =
-          shard::ComputeRowShardedBases(table, options.row_shards, rtopts,
-                                        options.shard_wire_compression,
-                                        &rstats);
-      result.stats.row_shards_used = options.row_shards;
-      result.stats.row_shard_bytes_per_shard =
-          std::move(rstats.table_bytes_per_shard);
-      result.stats.row_shard_bytes_shipped = rstats.bytes_shipped_total;
-      result.stats.row_shard_bytes_raw =
-          rstats.slice_counts.raw + rstats.fragment_counts.raw;
-      result.stats.row_shard_bytes_wire =
-          rstats.slice_counts.wire + rstats.fragment_counts.wire;
-      if (bases.ok()) {
-        row_bases = std::move(bases).value();
-      } else {
-        row_shard_status = bases.status();
-      }
-    }
-    if (options.num_shards < 1 && row_shard_status.ok()) {
+    if (options.num_shards < 1) {
       const auto* warm = options.warm_base_partitions;
-      const bool have_row =
-          static_cast<int>(row_bases.size()) == table.num_columns();
       for (int a = 0; a < table.num_columns(); ++a) {
         const bool have_warm = warm != nullptr &&
                                static_cast<size_t>(a) < warm->size() &&
                                (*warm)[static_cast<size_t>(a)] != nullptr;
-        cache.Preload(
-            AttributeSet().With(a),
-            have_row
-                ? std::move(row_bases[static_cast<size_t>(a)])
-                : (have_warm
-                       ? StrippedPartition(*(*warm)[static_cast<size_t>(a)])
-                       : StrippedPartition::FromColumn(table.column(a))));
+        cache.Preload(AttributeSet().With(a),
+                      have_warm
+                          ? StrippedPartition(*(*warm)[static_cast<size_t>(a)])
+                          : StrippedPartition::FromColumn(table.column(a)));
       }
-      row_bases.clear();
     }
     if (options.enable_sampling_filter &&
         options.validator == ValidatorKind::kOptimal &&
@@ -266,18 +223,13 @@ struct Driver {
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 std::chrono::duration<double>(options.time_budget_seconds));
       }
-      if (row_shard_status.ok()) {
-        Result<std::unique_ptr<shard::ShardCoordinator>> created =
-            shard::ShardCoordinator::Create(
-                &table, options.num_shards, ropts, topts, pool,
-                row_bases.empty() ? nullptr : &row_bases);
-        if (created.ok()) {
-          coordinator = std::move(created).value();
-        } else {
-          coordinator_status = created.status();
-        }
-        // The bootstrap frames are encoded; the stitched copies are dead.
-        row_bases.clear();
+      Result<std::unique_ptr<shard::ShardCoordinator>> created =
+          shard::ShardCoordinator::Create(&table, options.num_shards, ropts,
+                                          topts, pool);
+      if (created.ok()) {
+        coordinator = std::move(created).value();
+      } else {
+        coordinator_status = created.status();
       }
       result.stats.shards_used = options.num_shards;
     }
@@ -602,13 +554,6 @@ struct Driver {
   }
 
   void Run() {
-    if (!row_shard_status.ok()) {
-      // The row-shard phase failed before any base existed: typed
-      // fail-stop, same contract as a coordinator setup failure.
-      result.shard_status = row_shard_status;
-      result.stats.total_seconds = total_clock.ElapsedSeconds();
-      return;
-    }
     if (options.num_shards >= 1 && coordinator == nullptr) {
       // Coordinator setup failed (bad runner path, spawn or connect
       // error): a typed result, not a crash — nothing ran, so the empty
@@ -1140,8 +1085,6 @@ DiscoveryResult DiscoverOds(const EncodedTable& table,
   AOD_CHECK_MSG(options.top_k >= 0, "top_k must be >= 0 (0 = keep all)");
   AOD_CHECK_MSG(options.num_shards >= 0 && options.num_shards <= 1024,
                 "num_shards must be within [0, 1024]");
-  AOD_CHECK_MSG(options.row_shards >= 0 && options.row_shards <= 1024,
-                "row_shards must be within [0, 1024]");
   AOD_CHECK_MSG(options.max_lhs_arity >= 0,
                 "max_lhs_arity must be >= 0 (0 = unbounded)");
   Driver driver(table, options);

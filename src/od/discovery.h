@@ -198,25 +198,6 @@ struct DiscoveryOptions {
   /// reflect shard-local derivation and legitimately differ from the
   /// unsharded schedule (see ARCHITECTURE.md, "Sharded discovery").
   int num_shards = 0;
-  /// Row-space sharding of the base-partition phase (0 = off, the
-  /// default; 1..1024 = split the *rows*). Orthogonal to — and
-  /// composable with — num_shards' candidate-space axis: the
-  /// coordinator assigns each row shard one contiguous row range, ships
-  /// only that slice of the table (O(rows / row_shards) table bytes per
-  /// shard instead of O(rows)), each shard partitions its own rows
-  /// locally, and the class-stitching reducer
-  /// (partition/partition_stitch.h) merges the per-range fragments back
-  /// into the canonical base partitions — bit-identical to the
-  /// unsharded FromColumn bases, so dependency output is unchanged for
-  /// any row_shards x threads x transport x compression combination
-  /// (gated in tests/parallel_determinism_test). The stitched bases
-  /// feed the unsharded driver's cache preload or, with num_shards >=
-  /// 1, the candidate-space coordinator's bootstrap. Runs over
-  /// shard_transport with the same runner binary (kProcess) or inline
-  /// serving (kInProcess/kSocket); fail-stop via
-  /// DiscoveryResult::shard_status (no retry ladder — the phase is a
-  /// short bounded prologue).
-  int row_shards = 0;
   /// Transport the shard seam runs over (only consulted when
   /// num_shards >= 1). Output is bit-identical across transports; with
   /// kProcess the time budget is only enforced between levels (remote

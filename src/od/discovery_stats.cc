@@ -137,22 +137,6 @@ std::string DiscoveryStats::ToString() const {
                                  2) +
                     "x)\n"
               : "")
-      << (row_shards_used > 0
-              ? "  row shards:     " + std::to_string(row_shards_used) +
-                    " row shards, " +
-                    FormatDouble(static_cast<double>(row_shard_bytes_shipped) /
-                                     (1 << 20),
-                                 2) +
-                    " MiB shipped (" +
-                    FormatDouble(
-                        static_cast<double>(row_shard_bytes_wire) / (1 << 20),
-                        2) +
-                    " MiB wire / " +
-                    FormatDouble(
-                        static_cast<double>(row_shard_bytes_raw) / (1 << 20),
-                        2) +
-                    " MiB raw)\n"
-              : "")
       << (shard_retries + shard_respawns + shard_speculative_wins +
                       shard_speculative_losses + shard_fallback_shards +
                       shard_footers_missing >

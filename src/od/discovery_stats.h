@@ -64,18 +64,6 @@ struct DiscoveryStats {
     int64_t bytes_wire = 0;
   };
   std::vector<FrameTypeBytes> shard_frame_bytes;
-  /// Row-space sharding of the base-partition phase (0 = off). The
-  /// per-shard entry is the wire size of the table-slice frame that
-  /// shard received — the O(rows / row_shards) quantity exp8's
-  /// row-shard dimension plots; the raw/wire pair covers both the
-  /// sliced table frames and the returned fragment frames, so the row
-  /// phase's compression ratio is observable separately from the
-  /// candidate seam's.
-  int row_shards_used = 0;
-  std::vector<int64_t> row_shard_bytes_per_shard;
-  int64_t row_shard_bytes_shipped = 0;
-  int64_t row_shard_bytes_raw = 0;
-  int64_t row_shard_bytes_wire = 0;
   /// Supervision counters (src/shard/supervisor.h): the recoveries the
   /// run survived. All zero on a fault-free run or with supervision off
   /// (shard_max_retries == 0).

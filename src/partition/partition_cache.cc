@@ -49,7 +49,7 @@ void PartitionCache::PutReady(AttributeSet set, PartitionPtr value) {
   if (it != shard.map.end()) {
     // Replacing an entry: un-count the displaced value (always resolved —
     // PutReady only ever installs resolved futures).
-    bytes_resident_.fetch_sub(it->second.get()->bytes(),
+    bytes_resident_.fetch_sub(ResolvedValue(it->second)->bytes(),
                               std::memory_order_relaxed);
   }
   shard.map.insert_or_assign(set, promise.get_future().share());
@@ -64,17 +64,24 @@ std::shared_ptr<const StrippedPartition> PartitionCache::Get(
     AttributeSet set, const DerivationPlan* plan) {
   Shard& shard = ShardFor(set);
   std::promise<PartitionPtr> promise;
+  PartitionFuture existing;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(set);
     if (it != shard.map.end()) {
-      PartitionFuture future = it->second;
-      // get() outside the lock: a pending future blocks until the
-      // computing thread resolves it.
-      return future.get();
+      existing = it->second;
+    } else {
+      shard.map.emplace(set, promise.get_future().share());
     }
-    shard.map.emplace(set, promise.get_future().share());
   }
+  if (existing.valid()) {
+    // Wait outside the lock: a pending future blocks until the computing
+    // thread resolves it, and that thread may need this shard's lock for
+    // its own Gets first.
+    if (get_hook_ && !IsReady(existing)) get_hook_(set, false);
+    return existing.get();
+  }
+  if (get_hook_) get_hook_(set, true);
   // Level-0/1 partitions are preloaded and never evicted, so a miss is
   // always a derivable set.
   AOD_CHECK(set.size() >= 2);
@@ -216,14 +223,30 @@ bool PartitionCache::Contains(AttributeSet set) const {
     if (it == shard.map.end()) return false;
     future = it->second;
   }
+  return IsReady(future);
+}
+
+bool PartitionCache::IsReady(const PartitionFuture& future) {
   return future.wait_for(std::chrono::seconds(0)) ==
          std::future_status::ready;
 }
 
+PartitionCache::PartitionPtr PartitionCache::ResolvedValue(
+    const PartitionFuture& future) {
+  AOD_CHECK_MSG(IsReady(future),
+                "partition still pending where the cache lock is held");
+  return future.get();
+}
+
+void PartitionCache::set_get_hook_for_test(
+    std::function<void(AttributeSet, bool)> hook) {
+  get_hook_ = std::move(hook);
+}
+
 int64_t PartitionCache::EnforceBudget(int64_t budget_bytes) {
   if (budget_bytes <= 0 || bytes_resident() <= budget_bytes) return 0;
-  // Futures are resolved here (the driver quiesces prefetch first), so
-  // every entry's exact size and level are available.
+  // Every future must be resolved here (the driver quiesces prefetch
+  // first); ResolvedValue checks that instead of waiting under the lock.
   struct Victim {
     int level;
     int64_t bytes;
@@ -234,7 +257,7 @@ int64_t PartitionCache::EnforceBudget(int64_t budget_bytes) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (const auto& [key, future] : shard.map) {
       if (key.size() <= 1) continue;
-      victims.push_back({key.size(), future.get()->bytes(), key});
+      victims.push_back({key.size(), ResolvedValue(future)->bytes(), key});
     }
   }
   // Coldest first: lowest level — levels below the two most recent are
@@ -279,9 +302,9 @@ int64_t PartitionCache::EvictSmallerThan(int below) {
     for (auto it = shard.map.begin(); it != shard.map.end();) {
       int sz = it->first.size();
       if (sz > 1 && sz < below) {
-        // Futures are resolved here (eviction runs between phases), so
-        // the value — and its exact size — is available.
-        freed += it->second.get()->bytes();
+        // Eviction runs between phases, so the value — and its exact
+        // size — is available without waiting under the lock.
+        freed += ResolvedValue(it->second)->bytes();
         {
           std::lock_guard<std::mutex> catalog_lock(catalog_mutex_);
           catalog_.erase(it->first);

@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -174,18 +175,29 @@ class PartitionCache {
   /// Number of partitions currently materialized.
   int64_t cached_count() const;
 
+  /// Keys are spread over this many independently locked shards, by
+  /// AttributeSetHash modulo the count.
+  static constexpr size_t kShardCount = 16;
+
+  /// Test seam: `hook(set, claimed)` runs outside every cache lock when a
+  /// Get claims a missing key, before deriving it (claimed = true), and
+  /// when a Get finds a key another thread is still computing, before
+  /// waiting on it (claimed = false). Lets a test park a producer after
+  /// its claim and know a waiter has arrived. Set before any concurrent
+  /// use.
+  void set_get_hook_for_test(std::function<void(AttributeSet, bool)> hook);
+
  private:
   using PartitionPtr = std::shared_ptr<const StrippedPartition>;
   using PartitionFuture = std::shared_future<PartitionPtr>;
 
-  /// Keys are spread over independently locked shards; striping keeps
-  /// same-level materializations (distinct keys) from serializing on one
-  /// map lock while same-key requests still rendezvous.
+  /// Striping keeps same-level materializations (distinct keys) from
+  /// serializing on one map lock while same-key requests still
+  /// rendezvous.
   struct Shard {
     mutable std::mutex mutex;
     std::unordered_map<AttributeSet, PartitionFuture, AttributeSetHash> map;
   };
-  static constexpr size_t kShardCount = 16;
 
   Shard& ShardFor(AttributeSet set) {
     return shards_[AttributeSetHash{}(set) % kShardCount];
@@ -196,6 +208,12 @@ class PartitionCache {
 
   /// Installs an already-resolved entry (constructor preloads).
   void PutReady(AttributeSet set, PartitionPtr value);
+
+  static bool IsReady(const PartitionFuture& future);
+  /// The value of an entry read under a shard lock. Waiting there could
+  /// deadlock against the thread computing the entry, so a pending
+  /// future is a contract breach: checked, never waited on.
+  static PartitionPtr ResolvedValue(const PartitionFuture& future);
 
   /// Executes `plan` for `set`: product the base with each remaining
   /// single, counting estimated vs realized cost.
@@ -237,6 +255,8 @@ class PartitionCache {
 
   std::mutex scratch_mutex_;
   std::vector<std::unique_ptr<PartitionScratch>> free_scratch_;
+
+  std::function<void(AttributeSet, bool)> get_hook_;
 };
 
 }  // namespace aod

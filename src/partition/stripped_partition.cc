@@ -84,29 +84,6 @@ StrippedPartition StrippedPartition::FromClasses(
   return out;
 }
 
-StrippedPartition StrippedPartition::FromCsr(
-    std::vector<int32_t> row_ids, std::vector<int32_t> class_offsets) {
-  StrippedPartition out;
-  if (row_ids.empty()) {
-    AOD_CHECK_MSG(class_offsets.empty() ||
-                      (class_offsets.size() == 1 && class_offsets[0] == 0),
-                  "FromCsr: offsets without rows");
-    return out;
-  }
-  AOD_CHECK_MSG(class_offsets.size() >= 2 && class_offsets.front() == 0 &&
-                    class_offsets.back() == static_cast<int32_t>(row_ids.size()),
-                "FromCsr: offsets do not delimit the row arena");
-  for (size_t c = 1; c < class_offsets.size(); ++c) {
-    AOD_CHECK_MSG(class_offsets[c] >= class_offsets[c - 1] + 2,
-                  "FromCsr: class of size < 2 in stripped partition");
-  }
-  out.rows_covered_ = static_cast<int64_t>(row_ids.size());
-  out.row_ids_ = std::move(row_ids);
-  out.class_offsets_ = std::move(class_offsets);
-  AOD_CHECK_MSG(out.IsCanonical(), "FromCsr: not in canonical normal form");
-  return out;
-}
-
 StrippedPartition StrippedPartition::Product(const StrippedPartition& other,
                                              int64_t num_rows,
                                              PartitionScratch* scratch) const {

@@ -129,14 +129,6 @@ class StrippedPartition {
   /// i.e. NOT normalized; call Normalize() for the canonical form.
   static StrippedPartition FromClasses(std::vector<std::vector<int32_t>> classes);
 
-  /// Adopts an already-stripped, already-canonical CSR pair without
-  /// copying (the class-stitching reducer emits canonical form by
-  /// construction). `class_offsets` carries the leading 0 and one entry
-  /// per class after it, or is empty alongside empty `row_ids`.
-  /// Canonicality and the >= 2 class-size invariant are checked.
-  static StrippedPartition FromCsr(std::vector<int32_t> row_ids,
-                                   std::vector<int32_t> class_offsets);
-
   /// Stripped product Π_self · Π_other = Π over the union of the two
   /// attribute sets. O(||self|| + ||other|| + C log C) where C is the
   /// output class count: a two-pass counting sort per `other` class —

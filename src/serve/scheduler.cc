@@ -55,10 +55,7 @@ Result<uint64_t> JobScheduler::Submit(std::shared_ptr<ServeJob> job) {
     job->options.time_budget_seconds = budget;
   }
   job->options.pool = options_.pool;
-  // Serve jobs run unsharded on the pool — neither candidate-space nor
-  // row-space sharding applies to a resident server's jobs.
-  job->options.num_shards = 0;
-  job->options.row_shards = 0;
+  job->options.num_shards = 0;  // serve jobs run unsharded on the pool
   const uint64_t id = job->id;
   ++queued_;
   ++inflight_[job->client_id];

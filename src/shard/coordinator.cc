@@ -35,21 +35,18 @@ ShardCoordinator::ShardCoordinator(
 Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Create(
     const EncodedTable* table, int num_shards,
     const ShardRunnerOptions& runner_options,
-    const ShardTransportOptions& transport_options, exec::ThreadPool* pool,
-    const std::vector<StrippedPartition>* base_partitions) {
+    const ShardTransportOptions& transport_options, exec::ThreadPool* pool) {
   AOD_CHECK(table != nullptr);
   AOD_CHECK_MSG(num_shards >= 1, "num_shards must be >= 1, got %d",
                 num_shards);
   std::unique_ptr<ShardCoordinator> coordinator(
       new ShardCoordinator(table, transport_options, pool));
-  AOD_RETURN_NOT_OK(
-      coordinator->Init(num_shards, runner_options, base_partitions));
+  AOD_RETURN_NOT_OK(coordinator->Init(num_shards, runner_options));
   return coordinator;
 }
 
-Status ShardCoordinator::Init(
-    int num_shards, const ShardRunnerOptions& runner_options,
-    const std::vector<StrippedPartition>* base_partitions) {
+Status ShardCoordinator::Init(int num_shards,
+                              const ShardRunnerOptions& runner_options) {
   const bool compress = runner_options.wire_compression;
   // Everything a fresh attempt needs, encoded — and checksummed — once:
   // the same bytes bootstrap the first attempt, every respawn and every
@@ -68,23 +65,13 @@ Status ShardCoordinator::Init(
   // thread, so even a serial coordinator cannot deadlock against an
   // unserved peer.
   const int k = table_->num_columns();
-  if (base_partitions != nullptr) {
-    AOD_CHECK_MSG(static_cast<int>(base_partitions->size()) == k,
-                  "preloaded bases cover %d attributes, table has %d",
-                  static_cast<int>(base_partitions->size()), k);
-  }
   std::vector<std::vector<uint8_t>> base_frames;
   base_frames.reserve(static_cast<size_t>(k));
   for (int a = 0; a < k; ++a) {
-    // Preloaded bases (the row-shard phase's stitched partitions) are
-    // bit-identical to FromColumn, so the shipped frames — and every
-    // attempt they seed — do not depend on which path produced them.
     base_frames.push_back(EncodePartitionBlock(
         AttributeSet().With(a),
-        base_partitions != nullptr
-            ? (*base_partitions)[static_cast<size_t>(a)]
-            : StrippedPartition::FromColumn(table_->column(a)),
-        compress, &bootstrap_.base_counts));
+        StrippedPartition::FromColumn(table_->column(a)), compress,
+        &bootstrap_.base_counts));
   }
   bootstrap_.base_frames = k;
   if (k == 1) {

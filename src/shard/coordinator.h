@@ -118,17 +118,11 @@ class ShardCoordinator {
   /// runners). `pool` (nullable) runs in-process shard work; both
   /// `table` and `pool` are borrowed and must outlive the coordinator.
   /// Fails with a typed Status on any transport or spawn error that
-  /// survives the supervision ladder. `base_partitions` (optional, one
-  /// per column) seeds the shards with already-computed level-1
-  /// partitions — the row-shard phase's stitched bases — instead of
-  /// recomputing FromColumn per column; they must be bit-identical to
-  /// FromColumn (StitchPartitions guarantees this), so the shipped
-  /// bytes do not depend on which path produced them.
+  /// survives the supervision ladder.
   static Result<std::unique_ptr<ShardCoordinator>> Create(
       const EncodedTable* table, int num_shards,
       const ShardRunnerOptions& runner_options,
-      const ShardTransportOptions& transport_options, exec::ThreadPool* pool,
-      const std::vector<StrippedPartition>* base_partitions = nullptr);
+      const ShardTransportOptions& transport_options, exec::ThreadPool* pool);
 
   ~ShardCoordinator();
   AOD_DISALLOW_COPY_AND_ASSIGN(ShardCoordinator);
@@ -224,8 +218,7 @@ class ShardCoordinator {
                    const ShardTransportOptions& transport_options,
                    exec::ThreadPool* pool);
 
-  Status Init(int num_shards, const ShardRunnerOptions& runner_options,
-              const std::vector<StrippedPartition>* base_partitions);
+  Status Init(int num_shards, const ShardRunnerOptions& runner_options);
   bool strict() const {
     return transport_.supervision.max_retries <= 0;
   }

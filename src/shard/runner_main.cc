@@ -13,7 +13,6 @@
 #include "exec/thread_pool.h"
 #include "od/discovery.h"
 #include "shard/channel.h"
-#include "shard/row_sharding.h"
 #include "shard/shard_runner.h"
 #include "shard/wire.h"
 
@@ -127,17 +126,6 @@ int ShardRunnerMain(int argc, char** argv) {
   if (!config_raw.ok()) return Fail(2, "config frame", config_raw.status());
   Result<WireRunnerConfig> config = DecodeConfigBlock(config_raw->frame);
   if (!config.ok()) return Fail(2, "config decode", config.status());
-
-  // A config carrying a row range selects the row-shard fragment
-  // conversation (partition the table slice, ship fragments, footer)
-  // instead of the candidate-validation serve loop.
-  if (config->row_end > config->row_begin) {
-    Status served =
-        ServeRowShardAfterConfig(*config, channel.get(), channel.get());
-    if (!served.ok()) return Fail(3, "row-shard serve", served);
-    channel->Close();  // flush the footer before the fds die
-    return 0;
-  }
 
   Result<BootstrapFrame> table_raw =
       ReceiveExpected(channel.get(), FrameType::kTableBlock);

@@ -64,7 +64,6 @@ Status ShardRunner::ServeOne(const std::function<bool()>& cancel,
     case FrameType::kJobResultBatch:
     case FrameType::kJobError:
     case FrameType::kCancel:
-    case FrameType::kPartitionFragment:  // row-shard reply; coordinator-bound
       break;
   }
   return Status::InvalidArgument("unexpected frame type on shard inbox");

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/endian.h"
-#include "common/macros.h"
 
 namespace aod {
 namespace shard {
@@ -205,7 +204,7 @@ Result<DecodedFrame> DecodeFrame(const uint8_t* data, size_t size) {
   }
   const uint16_t raw_type = LoadU16(data + 6);
   if (raw_type < static_cast<uint16_t>(FrameType::kPartitionBlock) ||
-      raw_type > static_cast<uint16_t>(FrameType::kPartitionFragment)) {
+      raw_type > static_cast<uint16_t>(FrameType::kCancel)) {
     return Status::ParseError("unknown wire frame type " +
                               std::to_string(raw_type));
   }
@@ -962,8 +961,6 @@ std::vector<uint8_t> EncodeConfigBlock(const WireRunnerConfig& config) {
   writer.PutU8(config.wire_compression ? 1 : 0);
   writer.PutU32(config.kinds);
   writer.PutDouble(config.afd_error);
-  writer.PutI64(config.row_begin);
-  writer.PutI64(config.row_end);
   return writer.SealFrame(FrameType::kConfigBlock);
 }
 
@@ -990,8 +987,6 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(reader.GetU8(&compression));
   AOD_RETURN_NOT_OK(reader.GetU32(&config.kinds));
   AOD_RETURN_NOT_OK(reader.GetDouble(&config.afd_error));
-  AOD_RETURN_NOT_OK(reader.GetI64(&config.row_begin));
-  AOD_RETURN_NOT_OK(reader.GetI64(&config.row_end));
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
   config.collect_removal_sets = removal != 0;
   config.enable_sampling_filter = sampling != 0;
@@ -1009,9 +1004,6 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
   }
   if (!(config.afd_error >= 0.0 && config.afd_error <= 1.0)) {
     return Status::ParseError("config afd_error outside [0, 1]");
-  }
-  if (config.row_begin < 0 || config.row_end < config.row_begin) {
-    return Status::ParseError("config row range invalid");
   }
   return config;
 }
@@ -1034,55 +1026,37 @@ uint8_t SelectRankCodec(int32_t cardinality, bool compress) {
 
 }  // namespace
 
-std::vector<uint8_t> EncodeTableSlice(const EncodedTable& table,
-                                      int64_t row_begin, int64_t row_end,
-                                      bool compress, CodecByteCounts* counts) {
-  AOD_CHECK_MSG(row_begin >= 0 && row_begin <= row_end &&
-                    row_end <= table.num_rows(),
-                "table slice [%lld, %lld) outside table of %lld rows",
-                static_cast<long long>(row_begin),
-                static_cast<long long>(row_end),
-                static_cast<long long>(table.num_rows()));
-  const size_t lo = static_cast<size_t>(row_begin);
-  const size_t hi = static_cast<size_t>(row_end);
+std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table, bool compress,
+                                      CodecByteCounts* counts) {
   WireWriter writer;
   writer.PutI64(table.num_rows());
   writer.PutU32(static_cast<uint32_t>(table.num_columns()));
-  writer.PutI64(row_begin);
-  writer.PutI64(row_end - row_begin);
-  int64_t raw_bytes = static_cast<int64_t>(kFrameHeaderBytes) + 8 + 4 + 16;
+  int64_t raw_bytes = static_cast<int64_t>(kFrameHeaderBytes) + 8 + 4;
   for (int c = 0; c < table.num_columns(); ++c) {
     const EncodedColumn& col = table.column(c);
     writer.PutString(col.name);
-    // Cardinality (and through it the rank codec) is table-global even
-    // for a slice: ranks are dense codes over the whole column, which is
-    // what lets fragments from different ranges stitch by rank.
     writer.PutI32(col.cardinality);
     const uint8_t codec = SelectRankCodec(col.cardinality, compress);
     writer.PutU8(codec);
-    writer.PutU64(hi - lo);
     switch (codec) {
       case kRankCodecByte:
-        for (size_t i = lo; i < hi; ++i) {
-          writer.PutU8(static_cast<uint8_t>(col.ranks[i]));
-        }
+        writer.PutU64(col.ranks.size());
+        for (int32_t r : col.ranks) writer.PutU8(static_cast<uint8_t>(r));
         break;
       case kRankCodecShort:
-        for (size_t i = lo; i < hi; ++i) {
-          writer.PutU16(static_cast<uint16_t>(col.ranks[i]));
-        }
+        writer.PutU64(col.ranks.size());
+        for (int32_t r : col.ranks) writer.PutU16(static_cast<uint16_t>(r));
         break;
       case kRankCodecVarint:
-        for (size_t i = lo; i < hi; ++i) {
-          writer.PutVarint(static_cast<uint64_t>(col.ranks[i]));
-        }
+        writer.PutU64(col.ranks.size());
+        for (int32_t r : col.ranks) writer.PutVarint(static_cast<uint64_t>(r));
         break;
       default:
-        for (size_t i = lo; i < hi; ++i) writer.PutI32(col.ranks[i]);
+        writer.PutI32Array(col.ranks);
         break;
     }
     raw_bytes += 8 + static_cast<int64_t>(col.name.size()) + 4 + 1 + 8 +
-                 4 * static_cast<int64_t>(hi - lo);
+                 4 * static_cast<int64_t>(col.ranks.size());
   }
   std::vector<uint8_t> frame = writer.SealFrame(FrameType::kTableBlock);
   if (counts != nullptr) {
@@ -1092,34 +1066,21 @@ std::vector<uint8_t> EncodeTableSlice(const EncodedTable& table,
   return frame;
 }
 
-std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table, bool compress,
+Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame,
                                       CodecByteCounts* counts) {
-  return EncodeTableSlice(table, 0, table.num_rows(), compress, counts);
-}
-
-Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
-                                        CodecByteCounts* counts) {
   if (frame.type != FrameType::kTableBlock) {
     return Status::ParseError("frame is not a table block");
   }
   WireReader reader(frame.payload, frame.size);
-  int64_t total_rows = 0;
+  int64_t num_rows = 0;
   uint32_t num_columns = 0;
-  int64_t row_offset = 0;
-  int64_t slice_rows = 0;
-  AOD_RETURN_NOT_OK(reader.GetI64(&total_rows));
+  AOD_RETURN_NOT_OK(reader.GetI64(&num_rows));
   AOD_RETURN_NOT_OK(reader.GetU32(&num_columns));
-  AOD_RETURN_NOT_OK(reader.GetI64(&row_offset));
-  AOD_RETURN_NOT_OK(reader.GetI64(&slice_rows));
-  if (total_rows < 0) return Status::ParseError("negative table row count");
+  if (num_rows < 0) return Status::ParseError("negative table row count");
   if (num_columns > static_cast<uint32_t>(AttributeSet::kMaxAttributes)) {
     return Status::ParseError("table block exceeds the attribute limit");
   }
-  if (row_offset < 0 || slice_rows < 0 ||
-      row_offset > total_rows - slice_rows) {
-    return Status::ParseError("table slice outside its table's rows");
-  }
-  int64_t raw_bytes = static_cast<int64_t>(kFrameHeaderBytes) + 8 + 4 + 16;
+  int64_t raw_bytes = static_cast<int64_t>(kFrameHeaderBytes) + 8 + 4;
   std::vector<EncodedColumn> columns;
   columns.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
@@ -1128,22 +1089,13 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
     AOD_RETURN_NOT_OK(reader.GetI32(&col.cardinality));
     uint8_t codec = 0;
     AOD_RETURN_NOT_OK(reader.GetU8(&codec));
-    uint64_t count = 0;
-    AOD_RETURN_NOT_OK(reader.GetU64(&count));
     switch (codec) {
-      case kRankCodecRaw: {
-        if (count > reader.remaining() / 4) {
-          return Status::ParseError("rank column longer than its payload");
-        }
-        col.ranks.reserve(static_cast<size_t>(count));
-        for (uint64_t i = 0; i < count; ++i) {
-          int32_t v = 0;
-          AOD_RETURN_NOT_OK(reader.GetI32(&v));
-          col.ranks.push_back(v);
-        }
+      case kRankCodecRaw:
+        AOD_RETURN_NOT_OK(reader.GetI32Array(&col.ranks));
         break;
-      }
       case kRankCodecByte: {
+        uint64_t count = 0;
+        AOD_RETURN_NOT_OK(reader.GetU64(&count));
         if (count > reader.remaining()) {
           return Status::ParseError("rank column longer than its payload");
         }
@@ -1156,6 +1108,8 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
         break;
       }
       case kRankCodecShort: {
+        uint64_t count = 0;
+        AOD_RETURN_NOT_OK(reader.GetU64(&count));
         if (count > reader.remaining() / 2) {
           return Status::ParseError("rank column longer than its payload");
         }
@@ -1168,6 +1122,8 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
         break;
       }
       case kRankCodecVarint: {
+        uint64_t count = 0;
+        AOD_RETURN_NOT_OK(reader.GetU64(&count));
         if (count > reader.remaining()) {
           return Status::ParseError("rank column longer than its payload");
         }
@@ -1185,14 +1141,11 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
         return Status::ParseError("unknown rank codec " +
                                   std::to_string(codec));
     }
-    if (static_cast<int64_t>(col.ranks.size()) != slice_rows) {
+    if (static_cast<int64_t>(col.ranks.size()) != num_rows) {
       return Status::ParseError("column length disagrees with row count");
     }
-    // Cardinality is global, so the bound is total_rows — a slice of a
-    // high-cardinality column legitimately declares more distinct values
-    // than it has rows.
     if (col.cardinality < 0 ||
-        static_cast<int64_t>(col.cardinality) > total_rows) {
+        static_cast<int64_t>(col.cardinality) > num_rows) {
       return Status::ParseError("column cardinality out of range");
     }
     for (int32_t rank : col.ranks) {
@@ -1209,215 +1162,7 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
     counts->raw += raw_bytes;
     counts->wire += static_cast<int64_t>(kFrameHeaderBytes + frame.size);
   }
-  WireTableSlice out;
-  out.table = EncodedTable(std::move(columns), slice_rows);
-  out.row_offset = row_offset;
-  out.total_rows = total_rows;
-  return out;
-}
-
-Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame,
-                                      CodecByteCounts* counts) {
-  // Count bytes only for an accepted frame: a rejected slice must not
-  // pollute the caller's accounting.
-  CodecByteCounts local;
-  AOD_ASSIGN_OR_RETURN(WireTableSlice slice, DecodeTableSlice(frame, &local));
-  if (slice.row_offset != 0 || slice.total_rows != slice.table.num_rows()) {
-    return Status::ParseError("table block is a row slice");
-  }
-  if (counts != nullptr) counts->Add(local);
-  return std::move(slice.table);
-}
-
-namespace {
-
-/// Delta-varint body of a partition fragment: class and row counts, the
-/// strictly ascending ranks as deltas (first absolute), the class sizes
-/// (>= 1 — singletons survive in fragments), then per class its first
-/// row as a delta from row_begin followed by the in-class ascending
-/// gaps. Same cost threshold as the partition codecs: bail to raw the
-/// moment the body reaches `budget`.
-bool TryCompressFragmentBody(const PartitionFragment& f, size_t budget,
-                             WireWriter* body) {
-  const int64_t classes = f.num_classes();
-  body->PutVarint(static_cast<uint64_t>(classes));
-  body->PutVarint(f.row_ids.size());
-  int32_t prev_rank = 0;
-  for (int64_t c = 0; c < classes; ++c) {
-    const int32_t rank = f.class_ranks[static_cast<size_t>(c)];
-    body->PutVarint(static_cast<uint64_t>(rank - (c == 0 ? 0 : prev_rank)));
-    prev_rank = rank;
-    if (body->payload().size() >= budget) return false;
-  }
-  for (int64_t c = 0; c < classes; ++c) {
-    body->PutVarint(static_cast<uint64_t>(
-        f.class_offsets[static_cast<size_t>(c) + 1] -
-        f.class_offsets[static_cast<size_t>(c)]));
-    if (body->payload().size() >= budget) return false;
-  }
-  for (int64_t c = 0; c < classes; ++c) {
-    const size_t lo = static_cast<size_t>(f.class_offsets[static_cast<size_t>(c)]);
-    const size_t hi =
-        static_cast<size_t>(f.class_offsets[static_cast<size_t>(c) + 1]);
-    body->PutVarint(static_cast<uint64_t>(f.row_ids[lo] - f.row_begin));
-    for (size_t i = lo + 1; i < hi; ++i) {
-      body->PutVarint(
-          static_cast<uint64_t>(f.row_ids[i] - f.row_ids[i - 1]));
-    }
-    if (body->payload().size() >= budget) return false;
-  }
-  return true;
-}
-
-/// Expands the delta-varint fragment body back into the exact raw bytes
-/// PartitionFragment::SerializeTo emits, so compressed and raw frames
-/// share one validation gate (PartitionFragment::Deserialize).
-Status ExpandCompressedFragment(WireReader* reader, int64_t row_begin,
-                                int64_t row_end, std::vector<uint8_t>* raw) {
-  uint64_t classes = 0;
-  uint64_t rows = 0;
-  AOD_RETURN_NOT_OK(reader->GetVarint(&classes));
-  AOD_RETURN_NOT_OK(reader->GetVarint(&rows));
-  // Pre-allocation sanity (Deserialize re-checks): total coverage pins
-  // the row count to the range, and every class holds >= 1 row.
-  if (rows != static_cast<uint64_t>(row_end - row_begin)) {
-    return Status::ParseError("fragment does not cover its row range");
-  }
-  if (classes > rows) {
-    return Status::ParseError("fragment claims more classes than rows");
-  }
-  raw->clear();
-  raw->reserve(16 + static_cast<size_t>(classes) * 8 + 4 +
-               static_cast<size_t>(rows) * 4);
-  endian::AppendU64(raw, classes);
-  endian::AppendU64(raw, rows);
-  int64_t rank = 0;
-  for (uint64_t c = 0; c < classes; ++c) {
-    uint64_t delta = 0;
-    AOD_RETURN_NOT_OK(reader->GetVarint(&delta));
-    rank += static_cast<int64_t>(delta);
-    if (rank > std::numeric_limits<int32_t>::max()) {
-      return Status::ParseError("fragment rank out of range");
-    }
-    endian::AppendI32(raw, static_cast<int32_t>(rank));
-  }
-  std::vector<int64_t> sizes;
-  sizes.reserve(static_cast<size_t>(classes));
-  endian::AppendI32(raw, 0);
-  int64_t offset = 0;
-  for (uint64_t c = 0; c < classes; ++c) {
-    uint64_t size = 0;
-    AOD_RETURN_NOT_OK(reader->GetVarint(&size));
-    offset += static_cast<int64_t>(size);
-    if (size > rows || offset > static_cast<int64_t>(rows)) {
-      return Status::ParseError("fragment offsets do not cover its rows");
-    }
-    sizes.push_back(static_cast<int64_t>(size));
-    endian::AppendI32(raw, static_cast<int32_t>(offset));
-  }
-  for (uint64_t c = 0; c < classes; ++c) {
-    int64_t row = row_begin;
-    for (int64_t i = 0; i < sizes[static_cast<size_t>(c)]; ++i) {
-      uint64_t delta = 0;
-      AOD_RETURN_NOT_OK(reader->GetVarint(&delta));
-      if (delta > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
-        return Status::ParseError("fragment row delta out of range");
-      }
-      row = (i == 0 ? row_begin : row) + static_cast<int64_t>(delta);
-      if (row > std::numeric_limits<int32_t>::max()) {
-        return Status::ParseError("fragment row id out of range");
-      }
-      endian::AppendI32(raw, static_cast<int32_t>(row));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::vector<uint8_t> EncodePartitionFragment(const PartitionFragment& fragment,
-                                             bool compress,
-                                             CodecByteCounts* counts) {
-  const std::vector<uint8_t> raw = fragment.Serialize();
-  WireWriter writer;
-  writer.PutU32(static_cast<uint32_t>(fragment.attribute));
-  writer.PutI64(fragment.row_begin);
-  writer.PutI64(fragment.row_end);
-  WireWriter body;
-  const bool delta_ok =
-      compress && TryCompressFragmentBody(fragment, raw.size(), &body);
-  if (delta_ok) {
-    writer.PutU8(kCodecDeltaVarint);
-    writer.PutBytes(body.payload().data(), body.payload().size());
-  } else {
-    writer.PutU8(kCodecRaw);
-    writer.PutBytes(raw.data(), raw.size());
-  }
-  std::vector<uint8_t> frame = writer.SealFrame(FrameType::kPartitionFragment);
-  if (counts != nullptr) {
-    counts->raw +=
-        static_cast<int64_t>(kFrameHeaderBytes + 4 + 8 + 8 + 1 + raw.size());
-    counts->wire += static_cast<int64_t>(frame.size());
-  }
-  return frame;
-}
-
-Result<PartitionFragment> DecodePartitionFragment(const DecodedFrame& frame,
-                                                  int64_t num_rows,
-                                                  CodecByteCounts* counts) {
-  if (frame.type != FrameType::kPartitionFragment) {
-    return Status::ParseError("frame is not a partition fragment");
-  }
-  WireReader reader(frame.payload, frame.size);
-  uint32_t attribute = 0;
-  int64_t row_begin = 0;
-  int64_t row_end = 0;
-  AOD_RETURN_NOT_OK(reader.GetU32(&attribute));
-  AOD_RETURN_NOT_OK(reader.GetI64(&row_begin));
-  AOD_RETURN_NOT_OK(reader.GetI64(&row_end));
-  if (attribute >= static_cast<uint32_t>(AttributeSet::kMaxAttributes)) {
-    return Status::ParseError("fragment attribute out of range");
-  }
-  if (row_begin < 0 || row_end < row_begin || row_end > num_rows) {
-    return Status::ParseError("fragment row range outside the table");
-  }
-  uint8_t codec = 0;
-  AOD_RETURN_NOT_OK(reader.GetU8(&codec));
-  PartitionFragment fragment;
-  size_t raw_body_bytes = 0;
-  if (codec == kCodecRaw) {
-    size_t consumed = 0;
-    AOD_ASSIGN_OR_RETURN(
-        fragment, PartitionFragment::Deserialize(
-                      reader.cursor(), reader.remaining(),
-                      static_cast<int32_t>(attribute), row_begin, row_end,
-                      &consumed));
-    reader.Skip(consumed);
-    raw_body_bytes = consumed;
-  } else if (codec == kCodecDeltaVarint) {
-    std::vector<uint8_t> raw;
-    AOD_RETURN_NOT_OK(
-        ExpandCompressedFragment(&reader, row_begin, row_end, &raw));
-    size_t consumed = 0;
-    AOD_ASSIGN_OR_RETURN(
-        fragment, PartitionFragment::Deserialize(
-                      raw.data(), raw.size(), static_cast<int32_t>(attribute),
-                      row_begin, row_end, &consumed));
-    if (consumed != raw.size()) {
-      return Status::ParseError("fragment body has trailing bytes");
-    }
-    raw_body_bytes = raw.size();
-  } else {
-    return Status::ParseError("unknown fragment codec " +
-                              std::to_string(codec));
-  }
-  AOD_RETURN_NOT_OK(reader.ExpectEnd());
-  if (counts != nullptr) {
-    counts->raw += static_cast<int64_t>(kFrameHeaderBytes + 4 + 8 + 8 + 1 +
-                                        raw_body_bytes);
-    counts->wire += static_cast<int64_t>(kFrameHeaderBytes + frame.size);
-  }
-  return fragment;
+  return EncodedTable(std::move(columns), num_rows);
 }
 
 std::vector<uint8_t> EncodeShutdown() {

@@ -36,7 +36,7 @@
 // cross a socket as one write (see channel.h's BatchingFrameSender).
 //
 // The frame layer is transport-agnostic: ShardChannel moves opaque
-// frames, and a socket or file transport can replace the in-process
+// frames, and a socket or pipe transport can replace the in-process
 // queue without touching any encoder or decoder.
 #ifndef AOD_SHARD_WIRE_H_
 #define AOD_SHARD_WIRE_H_
@@ -50,7 +50,6 @@
 #include "data/encoder.h"
 #include "od/dependency_kind.h"
 #include "partition/attribute_set.h"
-#include "partition/partition_stitch.h"
 #include "partition/stripped_partition.h"
 
 namespace aod {
@@ -67,13 +66,13 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// config block carries the enabled kind set and the AFD g1 threshold.
 /// Decoders reject unknown kind ids and out-of-range thresholds with
 /// typed parse errors.
-/// Version 5: row-space sharding — kTableBlock carries a row slice
-/// (global row offset + total row count ahead of the columns; a full
-/// table is the offset-0, whole-range slice), the config block carries
-/// the shard's assigned row range, and kPartitionFragment ships one
-/// attribute's rank-keyed equivalence classes over that range back to
-/// the class-stitching reducer (partition/partition_stitch.h).
-inline constexpr uint16_t kWireVersion = 5;
+/// Version 5 (withdrawn): row-space sharding — sliced kTableBlock rows,
+/// a row range in the config block and a partition-fragment frame
+/// (type 14).
+/// Version 6: the v4 frame set again; whole-table kTableBlock only and
+/// no fragment frame. The bump makes a stale v5 peer fail with a typed
+/// version error instead of misparsing a table or config block.
+inline constexpr uint16_t kWireVersion = 6;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -134,14 +133,6 @@ enum class FrameType : uint16_t {
   /// Client -> server: abandon a submitted job; the server cancels it
   /// cooperatively and reclaims its resources.
   kCancel = 13,
-
-  /// Runner -> coordinator (row-space sharding): one attribute's
-  /// equivalence classes over the runner's assigned row range, keyed by
-  /// table-global rank — the input of the class-stitching reducer.
-  /// Unlike kPartitionBlock this is NOT a stripped partition: singleton
-  /// classes survive (they may join a class from another range) and
-  /// classes are ordered by rank, not smallest row id.
-  kPartitionFragment = 14,
 };
 
 // Payload codec identifiers — the per-frame flags byte. "Raw" is always
@@ -373,14 +364,6 @@ struct WireRunnerConfig {
   uint32_t kinds = DependencyKindSet::OdDefault().bits();
   /// AFD g1 threshold; decoders reject values outside [0, 1].
   double afd_error = 0.05;
-  /// Row-space sharding: the contiguous row range [row_begin, row_end)
-  /// this runner partitions. Both 0 (the default) means the runner is a
-  /// candidate-space shard and serves the full lattice conversation;
-  /// row_end > row_begin selects the fragment conversation instead
-  /// (slice in, kPartitionFragment frames out). Decoders reject a
-  /// negative begin or an end before the begin.
-  int64_t row_begin = 0;
-  int64_t row_end = 0;
 };
 
 std::vector<uint8_t> EncodeConfigBlock(const WireRunnerConfig& config);
@@ -395,50 +378,8 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame);
 std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table,
                                       bool compress = true,
                                       CodecByteCounts* counts = nullptr);
-/// Rejects row slices ("table block is a row slice"): the candidate-space
-/// bootstrap and the serve path need the whole table, and a partial
-/// slice silently treated as one would corrupt every downstream
-/// partition. Row-shard consumers use DecodeTableSlice.
 Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame,
                                       CodecByteCounts* counts = nullptr);
-
-/// A decoded kTableBlock that may cover only [row_offset,
-/// row_offset + table.num_rows()) of a total_rows-row table. The
-/// columns' rank arrays hold just the slice, but cardinalities (and the
-/// rank codec choice, a pure function of cardinality) are table-global,
-/// which is what makes per-range partition fragments stitchable.
-struct WireTableSlice {
-  EncodedTable table;
-  int64_t row_offset = 0;
-  int64_t total_rows = 0;
-};
-
-/// Encodes rows [row_begin, row_end) of `table` as a kTableBlock slice.
-/// EncodeTableBlock(t) == EncodeTableSlice(t, 0, t.num_rows()).
-std::vector<uint8_t> EncodeTableSlice(const EncodedTable& table,
-                                      int64_t row_begin, int64_t row_end,
-                                      bool compress = true,
-                                      CodecByteCounts* counts = nullptr);
-/// Validates the slice framing (0 <= row_offset, row_offset + slice rows
-/// <= total_rows) and every rank against its table-global cardinality
-/// (itself bounded by total_rows, not the slice length).
-Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
-                                        CodecByteCounts* counts = nullptr);
-
-/// One PartitionFragment (partition/partition_stitch.h) as a checksummed
-/// frame: attribute, row range, then a codec byte over the fragment body
-/// — kCodecRaw (PartitionFragment::SerializeTo bytes) or
-/// kCodecDeltaVarint (rank deltas, class sizes, first-row-delta + in-
-/// class gaps; bails to raw past the raw size). A compressed body is
-/// expanded back to the raw bytes before the shared
-/// PartitionFragment::Deserialize validation gate.
-std::vector<uint8_t> EncodePartitionFragment(const PartitionFragment& fragment,
-                                             bool compress = true,
-                                             CodecByteCounts* counts = nullptr);
-/// `num_rows` is the full table's row count bounding the fragment range.
-Result<PartitionFragment> DecodePartitionFragment(
-    const DecodedFrame& frame, int64_t num_rows,
-    CodecByteCounts* counts = nullptr);
 
 /// An empty-payload kShutdown frame.
 std::vector<uint8_t> EncodeShutdown();

@@ -4,17 +4,11 @@
 // polarity modes and datasets (see ARCHITECTURE.md).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "exec/thread_pool.h"
 #include "flaky_channel.h"
@@ -79,22 +73,6 @@ std::string Fingerprint(const DiscoveryResult& result) {
   for (int64_t v : s.nodes_per_level) AppendInt(&out, v);
   AppendInt(&out, result.timed_out ? 1 : 0);
   return out;
-}
-
-/// Same discovery idiom as shard_process_e2e_test: the runner binary
-/// sits next to the test binary in the build root; AOD_SHARD_RUNNER
-/// overrides. Empty when neither resolves (the process-transport leg of
-/// the row-shard matrix is then skipped, matching the e2e suite).
-std::string RunnerBinaryPath() {
-  if (const char* env = std::getenv("AOD_SHARD_RUNNER")) return env;
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const std::string sibling =
-      (std::filesystem::path(buf).parent_path() / "shard_runner_main")
-          .string();
-  return std::filesystem::exists(sibling) ? sibling : "";
 }
 
 struct DeterminismParam {
@@ -317,113 +295,6 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
     EXPECT_EQ(Fingerprint(hw), full);
     EXPECT_EQ(hw.stats.shard_bytes_shipped, bytes_shipped);
   }
-}
-
-TEST(ParallelDeterminismTest, RowShardedDiscoveryMatchesUnshardedBitExactly) {
-  // The row-sharding tentpole's acceptance gate: row_shards {1,2,4} ×
-  // threads {1,4,hw} × transports {inproc,socket,process} × compression
-  // {on,off} — the stitched bases are bit-identical to FromColumn, so
-  // the *full* fingerprint (stats included) must equal the unsharded
-  // run's: the row phase only adds its own byte-accounting counters,
-  // which this test checks separately. Per-shard table bytes must shrink
-  // as the shard count grows (each shard receives O(rows/row_shards)).
-  Table t = GenerateNcVoterTable(400, 6, 11);
-  EncodedTable enc = EncodeTable(t);
-  DiscoveryOptions options;
-  options.epsilon = 0.1;
-  options.collect_removal_sets = true;
-  options.num_threads = 1;
-  DiscoveryResult unsharded = DiscoverOds(enc, options);
-  ASSERT_TRUE(unsharded.shard_status.ok());
-  EXPECT_EQ(unsharded.stats.row_shards_used, 0);
-  EXPECT_TRUE(unsharded.stats.row_shard_bytes_per_shard.empty());
-  const std::string expected_full = Fingerprint(unsharded);
-
-  const std::string runner = RunnerBinaryPath();
-  std::vector<ShardTransport> transports = {ShardTransport::kInProcess,
-                                            ShardTransport::kSocket};
-  if (!runner.empty()) transports.push_back(ShardTransport::kProcess);
-  options.shard_runner_path = runner;
-
-  int64_t max_shard_bytes_at_1 = 0;
-  for (int row_shards : {1, 2, 4}) {
-    for (ShardTransport transport : transports) {
-      for (bool compress : {true, false}) {
-        SCOPED_TRACE("row_shards=" + std::to_string(row_shards) + " " +
-                     ShardTransportToString(transport) +
-                     (compress ? "" : " raw wire"));
-        options.row_shards = row_shards;
-        options.shard_transport = transport;
-        options.shard_wire_compression = compress;
-        for (int threads : {1, 4, 0}) {
-          options.num_threads = threads;
-          DiscoveryResult run = DiscoverOds(enc, options);
-          ASSERT_TRUE(run.shard_status.ok())
-              << "threads=" << threads << ": "
-              << run.shard_status.ToString();
-          EXPECT_EQ(Fingerprint(run), expected_full)
-              << "threads=" << threads;
-          EXPECT_EQ(run.stats.row_shards_used, row_shards);
-          ASSERT_EQ(run.stats.row_shard_bytes_per_shard.size(),
-                    static_cast<size_t>(row_shards));
-          EXPECT_GT(run.stats.row_shard_bytes_shipped, 0);
-          for (int64_t b : run.stats.row_shard_bytes_per_shard) {
-            EXPECT_GT(b, 0);
-          }
-          if (compress) {
-            EXPECT_LE(run.stats.row_shard_bytes_wire,
-                      run.stats.row_shard_bytes_raw);
-          } else {
-            EXPECT_EQ(run.stats.row_shard_bytes_wire,
-                      run.stats.row_shard_bytes_raw);
-          }
-          if (transport == ShardTransport::kInProcess && !compress &&
-              threads == 1) {
-            int64_t max_bytes = 0;
-            for (int64_t b : run.stats.row_shard_bytes_per_shard) {
-              max_bytes = std::max(max_bytes, b);
-            }
-            if (row_shards == 1) max_shard_bytes_at_1 = max_bytes;
-            // O(table/row_shards): four shards each see well under half
-            // of what the single shard saw.
-            if (row_shards == 4) {
-              EXPECT_LT(max_bytes, max_shard_bytes_at_1 / 2 + 64);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, RowShardsComposeWithCandidateShards) {
-  // The two sharding axes are orthogonal: a run that row-shards the base
-  // partition build AND candidate-shards the traversal must reproduce
-  // the plain candidate-sharded run's full fingerprint — the stitched
-  // bases feed the coordinator's base frames bit-identically, so even
-  // shard_bytes_shipped cannot move.
-  Table t = GenerateNcVoterTable(400, 6, 11);
-  EncodedTable enc = EncodeTable(t);
-  DiscoveryOptions options;
-  options.epsilon = 0.1;
-  options.collect_removal_sets = true;
-  options.num_threads = 2;
-  const std::string expected_output =
-      OutputFingerprint(DiscoverOds(enc, options));
-
-  options.num_shards = 2;
-  DiscoveryResult sharded = DiscoverOds(enc, options);
-  ASSERT_TRUE(sharded.shard_status.ok());
-  EXPECT_EQ(OutputFingerprint(sharded), expected_output);
-
-  options.row_shards = 2;
-  DiscoveryResult both = DiscoverOds(enc, options);
-  ASSERT_TRUE(both.shard_status.ok()) << both.shard_status.ToString();
-  EXPECT_EQ(Fingerprint(both), Fingerprint(sharded));
-  EXPECT_EQ(both.stats.shard_bytes_shipped,
-            sharded.stats.shard_bytes_shipped);
-  EXPECT_EQ(both.stats.row_shards_used, 2);
-  EXPECT_GT(both.stats.row_shard_bytes_shipped, 0);
 }
 
 TEST(ParallelDeterminismTest, ShardedMatchesAcrossValidatorsAndPolarity) {

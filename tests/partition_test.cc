@@ -1,7 +1,12 @@
 // Tests for src/partition: attribute sets, stripped partitions, cache.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
+#include <thread>
 
 #include "data/encoder.h"
 #include "partition/attribute_set.h"
@@ -363,6 +368,82 @@ TEST(PartitionCacheTest, FixedRuleWorklistHandlesDeepMisses) {
   EXPECT_TRUE(cache.Contains(AttributeSet::Of({0, 1, 2})));  // memoized
   cache.Get(AttributeSet::Of({0, 1, 2, 3}));
   EXPECT_EQ(cache.products_computed(), 7);  // intermediate was cached
+}
+
+TEST(PartitionCacheTest, WaiterDoesNotHoldShardLockWhileProducerDerives) {
+  // A Get that finds a key still being computed must wait outside the
+  // shard lock, because the producer's own Gets may land on that shard.
+  // Pick X = {a, b} whose plan base {a} shares X's shard, park the
+  // producer right after it claims X, let a second thread start waiting
+  // on X, then release the producer: a waiter holding the lock
+  // deadlocks it on Get({a}).
+  constexpr int kCols = 8;
+  EncodedTable t = testing_util::RandomEncodedTable(200, kCols, 4, 21);
+  auto shard_of = [](AttributeSet s) {
+    return AttributeSetHash{}(s) % PartitionCache::kShardCount;
+  };
+  AttributeSet x;
+  DerivationPlan plan;
+  for (int a = 0; a < kCols && x.empty(); ++a) {
+    for (int b = 0; b < kCols && x.empty(); ++b) {
+      const AttributeSet candidate = AttributeSet::Of({a, b});
+      if (a == b || shard_of(AttributeSet::Of({a})) != shard_of(candidate)) {
+        continue;
+      }
+      x = candidate;
+      plan.base = AttributeSet::Of({a});
+      plan.singles = {b};
+    }
+  }
+  ASSERT_FALSE(x.empty()) << "no pair shares a cache shard with its base";
+
+  PartitionCache cache(&t);
+  std::promise<void> claimed;
+  std::promise<void> waiting;
+  std::promise<void> resume;
+  std::shared_future<void> resumed = resume.get_future().share();
+  cache.set_get_hook_for_test([&](AttributeSet set, bool claim) {
+    if (set != x) return;
+    if (claim) {
+      claimed.set_value();
+      resumed.wait();
+    } else {
+      waiting.set_value();
+    }
+  });
+
+  // Watchdog: wedged threads can never be joined, so a timeout ends the
+  // process with a diagnosis instead of running into the ctest timeout.
+  auto within = [](auto future, const char* stage) {
+    if (future.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "PartitionCache deadlock: no progress in 10 s "
+                           "waiting for %s\n", stage);
+      std::_Exit(1);
+    }
+    return future.get();
+  };
+  using Value = std::shared_ptr<const StrippedPartition>;
+  std::packaged_task<Value()> produce([&] { return cache.Get(x, &plan); });
+  std::future<Value> produced = produce.get_future();
+  std::thread producer(std::move(produce));
+  within(claimed.get_future(), "the producer's claim");
+
+  std::packaged_task<Value()> wait([&] { return cache.Get(x); });
+  std::future<Value> waited = wait.get_future();
+  std::thread waiter(std::move(wait));
+  within(waiting.get_future(), "the waiter to arrive");
+
+  resume.set_value();
+  const Value from_producer = within(std::move(produced), "the producer");
+  const Value from_waiter = within(std::move(waited), "the waiter");
+  producer.join();
+  waiter.join();
+  EXPECT_EQ(from_producer.get(), from_waiter.get());
+  PartitionCache fresh(&t);
+  EXPECT_EQ(from_producer->row_ids(), fresh.Get(x)->row_ids());
+  EXPECT_EQ(from_producer->class_offsets(), fresh.Get(x)->class_offsets());
+  EXPECT_EQ(cache.products_computed(), 1);
 }
 
 }  // namespace

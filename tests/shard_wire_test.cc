@@ -5,15 +5,12 @@
 // refusal to accept a partition a local derivation could never produce.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "data/encoder.h"
 #include "gen/random.h"
 #include "partition/partition_cache.h"
-#include "partition/partition_stitch.h"
 #include "partition/stripped_partition.h"
 #include "shard/channel.h"
 #include "shard/coordinator.h"
@@ -229,6 +226,16 @@ TEST(ShardWireTest, UnsupportedVersionRejected) {
   Result<DecodedFrame> r = DecodeFrame(frame);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("version"), std::string::npos);
+
+  // A stale v5 peer (sliced table blocks, row-range config) gets the
+  // same typed rejection.
+  std::vector<uint8_t> v5 = shard::EncodeCandidateBatch({});
+  v5[4] = 5;
+  v5[5] = 0;
+  Result<DecodedFrame> stale = DecodeFrame(v5);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kParseError);
+  EXPECT_NE(stale.status().message().find("version"), std::string::npos);
 }
 
 TEST(ShardWireTest, FrameTypeMismatchRejectedByMessageDecoders) {
@@ -237,6 +244,16 @@ TEST(ShardWireTest, FrameTypeMismatchRejectedByMessageDecoders) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(shard::DecodeResultBatch(*decoded).ok());
   EXPECT_FALSE(shard::DecodePartitionBlock(*decoded, 10).ok());
+
+  // Type 14 (the withdrawn v5 partition fragment) is past the last
+  // frame type, so the frame layer rejects it before any decoder.
+  frame[6] = 14;  // type field, little-endian at offset 6
+  frame[7] = 0;
+  Result<DecodedFrame> unknown = DecodeFrame(frame);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kParseError);
+  EXPECT_NE(unknown.status().message().find("unknown wire frame type"),
+            std::string::npos);
 }
 
 // --------------------------------------------------- message payloads --
@@ -388,212 +405,6 @@ TEST(ShardWireTest, TableBlockCorruptionDetectedAtEveryByte) {
     EXPECT_FALSE(shard::DecodeTableBlock(*decoded).ok())
         << "corrupted byte " << i << " accepted";
   }
-}
-
-/// Flips payload byte `i` and re-seals the frame checksum, so the
-/// corruption reaches the payload decoder instead of being absorbed by
-/// checksum validation (same methodology as shard_codec_test).
-std::vector<uint8_t> CorruptPayloadResealed(const std::vector<uint8_t>& frame,
-                                            size_t i) {
-  std::vector<uint8_t> bad = frame;
-  bad[shard::kFrameHeaderBytes + i] ^= 0x5a;
-  const uint64_t checksum = shard::WireChecksum(
-      bad.data() + shard::kFrameHeaderBytes,
-      bad.size() - shard::kFrameHeaderBytes);
-  for (int b = 0; b < 8; ++b) {
-    bad[16 + static_cast<size_t>(b)] =
-        static_cast<uint8_t>((checksum >> (8 * b)) & 0xff);
-  }
-  return bad;
-}
-
-TEST(ShardWireTest, TableSliceRoundTripsWithGlobalOffset) {
-  EncodedTable t = testing_util::RandomEncodedTable(120, 4, 7, 29);
-  for (const auto& [lo, hi] :
-       std::vector<std::pair<int64_t, int64_t>>{{0, 120}, {0, 40}, {40, 90},
-                                                {90, 120}, {60, 60}}) {
-    for (bool compress : {false, true}) {
-      HeldFrame frame(shard::EncodeTableSlice(t, lo, hi, compress));
-      ASSERT_TRUE(frame.ok());
-      Result<shard::WireTableSlice> back = shard::DecodeTableSlice(*frame);
-      ASSERT_TRUE(back.ok()) << back.status().ToString();
-      EXPECT_EQ(back->row_offset, lo);
-      EXPECT_EQ(back->total_rows, 120);
-      ASSERT_EQ(back->table.num_rows(), hi - lo);
-      ASSERT_EQ(back->table.num_columns(), t.num_columns());
-      for (int c = 0; c < t.num_columns(); ++c) {
-        EXPECT_EQ(back->table.name(c), t.name(c));
-        // Cardinality stays table-global even though only a slice of
-        // ranks shipped — the property that keeps fragments stitchable.
-        EXPECT_EQ(back->table.column(c).cardinality, t.column(c).cardinality);
-        EXPECT_EQ(back->table.ranks(c),
-                  std::vector<int32_t>(t.ranks(c).begin() + lo,
-                                       t.ranks(c).begin() + hi));
-      }
-    }
-  }
-
-  // The whole-table slice is byte-identical to EncodeTableBlock — v5
-  // made every table block a slice.
-  EXPECT_EQ(shard::EncodeTableSlice(t, 0, 120), shard::EncodeTableBlock(t));
-}
-
-TEST(ShardWireTest, TableBlockDecoderRejectsSlices) {
-  EncodedTable t = testing_util::RandomEncodedTable(50, 2, 4, 31);
-  HeldFrame slice(shard::EncodeTableSlice(t, 10, 30));
-  ASSERT_TRUE(slice.ok());
-  // The slice decodes as a slice but NOT as a whole table: a partial
-  // table silently accepted whole would corrupt every downstream
-  // partition.
-  EXPECT_TRUE(shard::DecodeTableSlice(*slice).ok());
-  Result<EncodedTable> as_block = shard::DecodeTableBlock(*slice);
-  ASSERT_FALSE(as_block.ok());
-  EXPECT_NE(as_block.status().message().find("slice"), std::string::npos);
-}
-
-TEST(ShardWireTest, TableSliceCorruptionDetectedAtEveryPayloadByte) {
-  EncodedTable t = testing_util::RandomEncodedTable(24, 2, 3, 7);
-  for (bool compress : {false, true}) {
-    const std::vector<uint8_t> frame = shard::EncodeTableSlice(
-        t, 4, 20, compress);
-    const std::vector<int32_t> want(t.ranks(0).begin() + 4,
-                                    t.ranks(0).begin() + 20);
-    for (size_t i = 0; i < frame.size() - shard::kFrameHeaderBytes; ++i) {
-      HeldFrame bad(CorruptPayloadResealed(frame, i));
-      if (!bad.ok()) continue;
-      Result<shard::WireTableSlice> decoded = shard::DecodeTableSlice(*bad);
-      if (!decoded.ok()) continue;
-      // A flip the structural validation cannot catch (e.g. inside a
-      // rank array) must still decode to *different* content, never
-      // silently to the original — checksummed frames make reaching
-      // here require an adversary who re-sealed, and even then the
-      // decode is structurally valid or visibly different.
-      EXPECT_FALSE(decoded->row_offset == 4 && decoded->total_rows == 24 &&
-                   decoded->table.num_rows() == 16 &&
-                   decoded->table.ranks(0) == want &&
-                   decoded->table.ranks(1) ==
-                       std::vector<int32_t>(t.ranks(1).begin() + 4,
-                                            t.ranks(1).begin() + 20) &&
-                   decoded->table.name(0) == t.name(0) &&
-                   decoded->table.name(1) == t.name(1))
-          << "corrupted payload byte " << i
-          << " decoded back to the original slice";
-    }
-  }
-}
-
-TEST(ShardWireTest, PartitionFragmentFrameRoundTripBothCodecs) {
-  EncodedTable t = testing_util::RandomEncodedTable(80, 2, 4, 37);
-  const PartitionFragment f = FragmentFromColumn(t.column(0), 20, 65, 0);
-  for (bool compress : {false, true}) {
-    shard::CodecByteCounts enc;
-    HeldFrame frame(shard::EncodePartitionFragment(f, compress, &enc));
-    ASSERT_TRUE(frame.ok());
-    EXPECT_EQ((*frame).type, FrameType::kPartitionFragment);
-    shard::CodecByteCounts dec;
-    Result<PartitionFragment> back =
-        shard::DecodePartitionFragment(*frame, 80, &dec);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(back->attribute, 0);
-    EXPECT_EQ(back->row_begin, 20);
-    EXPECT_EQ(back->row_end, 65);
-    EXPECT_EQ(back->class_ranks, f.class_ranks);
-    EXPECT_EQ(back->class_offsets, f.class_offsets);
-    EXPECT_EQ(back->row_ids, f.row_ids);
-    // Raw accounting is codec-independent; wire reflects what shipped.
-    EXPECT_EQ(enc.raw, dec.raw);
-    EXPECT_EQ(enc.wire, static_cast<int64_t>(frame.bytes.size()));
-  }
-  // Economy: the delta codec never ships more than raw (budget bail).
-  EXPECT_LE(shard::EncodePartitionFragment(f, true).size(),
-            shard::EncodePartitionFragment(f, false).size());
-
-  // A fragment whose range exceeds the table is rejected.
-  HeldFrame frame(shard::EncodePartitionFragment(f, false));
-  ASSERT_TRUE(frame.ok());
-  EXPECT_FALSE(shard::DecodePartitionFragment(*frame, 64).ok());
-  // Wrong frame type refused.
-  HeldFrame shutdown(shard::EncodeShutdown());
-  ASSERT_TRUE(shutdown.ok());
-  EXPECT_FALSE(shard::DecodePartitionFragment(*shutdown, 80).ok());
-}
-
-// Property: fragment frames of random slices round-trip bit-exactly
-// under both codecs, across random tables (the fuzz analogue of the
-// targeted pins above).
-TEST_P(ShardWirePropertyTest, RandomFragmentFramesRoundTrip) {
-  Rng rng(GetParam() * 131 + 7);
-  const int64_t rows = 20 + static_cast<int64_t>(rng.UniformInt(0, 200));
-  EncodedTable t = testing_util::RandomEncodedTable(
-      rows, 3, 1 + rng.UniformInt(1, 12), GetParam() * 277 + 5);
-  for (int trial = 0; trial < 8; ++trial) {
-    int64_t lo = rng.UniformInt(0, rows);
-    int64_t hi = rng.UniformInt(0, rows);
-    if (lo > hi) std::swap(lo, hi);
-    const int a = static_cast<int>(rng.UniformInt(0, 2));
-    const PartitionFragment f = FragmentFromColumn(t.column(a), lo, hi, a);
-    for (bool compress : {false, true}) {
-      HeldFrame frame(shard::EncodePartitionFragment(f, compress));
-      ASSERT_TRUE(frame.ok());
-      Result<PartitionFragment> back =
-          shard::DecodePartitionFragment(*frame, rows);
-      ASSERT_TRUE(back.ok()) << back.status().ToString();
-      EXPECT_EQ(back->class_ranks, f.class_ranks);
-      EXPECT_EQ(back->class_offsets, f.class_offsets);
-      EXPECT_EQ(back->row_ids, f.row_ids);
-      EXPECT_EQ(back->Serialize(), f.Serialize());
-    }
-  }
-}
-
-TEST(ShardWireTest, FragmentCorruptionDetectedAtEveryPayloadByte) {
-  EncodedTable t = testing_util::RandomEncodedTable(30, 2, 3, 43);
-  const PartitionFragment f = FragmentFromColumn(t.column(0), 5, 25, 0);
-  const std::vector<uint8_t> good = f.Serialize();
-  for (bool compress : {false, true}) {
-    const std::vector<uint8_t> frame =
-        shard::EncodePartitionFragment(f, compress);
-    for (size_t i = 0; i < frame.size() - shard::kFrameHeaderBytes; ++i) {
-      HeldFrame bad(CorruptPayloadResealed(frame, i));
-      if (!bad.ok()) continue;
-      Result<PartitionFragment> decoded =
-          shard::DecodePartitionFragment(*bad, 30);
-      if (!decoded.ok()) continue;
-      // Survivors must differ visibly (attribute/range/content) — the
-      // shared Deserialize gate upholds every fragment invariant, so a
-      // byte flip can never smuggle in a same-looking fragment.
-      EXPECT_FALSE(decoded->attribute == 0 && decoded->row_begin == 5 &&
-                   decoded->row_end == 25 && decoded->Serialize() == good)
-          << "corrupted payload byte " << i
-          << " decoded back to the original fragment (compress="
-          << compress << ")";
-    }
-  }
-}
-
-TEST(ShardWireTest, ConfigRowRangeRoundTripAndRejection) {
-  shard::WireRunnerConfig config;
-  config.shard_id = 1;
-  config.row_begin = 100;
-  config.row_end = 250;
-  HeldFrame frame(shard::EncodeConfigBlock(config));
-  ASSERT_TRUE(frame.ok());
-  Result<shard::WireRunnerConfig> back = shard::DecodeConfigBlock(*frame);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->row_begin, 100);
-  EXPECT_EQ(back->row_end, 250);
-
-  // An inverted or negative range decodes as ParseError.
-  config.row_begin = 10;
-  config.row_end = 5;
-  HeldFrame inverted(shard::EncodeConfigBlock(config));
-  ASSERT_TRUE(inverted.ok());
-  EXPECT_FALSE(shard::DecodeConfigBlock(*inverted).ok());
-  config.row_begin = -1;
-  config.row_end = 5;
-  HeldFrame negative(shard::EncodeConfigBlock(config));
-  ASSERT_TRUE(negative.ok());
-  EXPECT_FALSE(shard::DecodeConfigBlock(*negative).ok());
 }
 
 TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
