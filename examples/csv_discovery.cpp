@@ -20,8 +20,6 @@
 //     --bidirectional       also search A asc ~ B desc polarity
 //     --threads=N           parallel validation workers (0 = all cores;
 //                           results are identical for any thread count)
-//     --no-planner          derive partitions by the fixed rule instead
-//                           of the cost-based planner (identical output)
 //     --memory-budget-mb=N  partition cache byte budget; coldest derived
 //                           partitions are evicted and re-derived on
 //                           demand (identical output)
@@ -85,7 +83,6 @@ struct Args {
   ValidatorKind validator = ValidatorKind::kOptimal;
   bool bidirectional = false;
   int threads = 1;
-  bool planner = true;
   int64_t memory_budget_mb = 0;
   int shards = 0;
   ShardTransport shard_transport = ShardTransport::kInProcess;
@@ -144,8 +141,6 @@ Args ParseArgs(int argc, char** argv) {
       args.bidirectional = true;
     } else if (const char* v = value_of("--threads=")) {
       args.threads = std::atoi(v);
-    } else if (arg == "--no-planner") {
-      args.planner = false;
     } else if (const char* v = value_of("--memory-budget-mb=")) {
       args.memory_budget_mb = std::atoll(v);
     } else if (const char* v = value_of("--shards=")) {
@@ -223,7 +218,6 @@ int main(int argc, char** argv) {
   options.validator = args.validator;
   options.bidirectional = args.bidirectional;
   options.num_threads = args.threads;
-  options.enable_derivation_planner = args.planner;
   options.partition_memory_budget_bytes = args.memory_budget_mb << 20;
   options.num_shards = args.shards;
   options.shard_transport = args.shard_transport;

@@ -190,7 +190,6 @@ struct Driver {
       pool = owned_pool.get();
     }
     prefetch_group = std::make_unique<exec::TaskGroup>(pool);
-    cache.set_planner_enabled(options.enable_derivation_planner);
     result.stats.threads_used = threads;
     if (options.num_shards >= 1) {
       shard::ShardRunnerOptions ropts;
@@ -750,8 +749,7 @@ struct Driver {
       // not of scheduling. Skipped once the deadline is hit: the catalog
       // no longer matters and publishing could trigger derivations.
       phase_clock.Restart();
-      if (options.enable_derivation_planner && coordinator == nullptr &&
-          !OverBudget()) {
+      if (coordinator == nullptr && !OverBudget()) {
         for (AttributeSet key : pending_costs) cache.PublishCost(key);
       }
       pending_costs.clear();
@@ -800,14 +798,11 @@ struct Driver {
             current.Find(keys[i]) != nullptr) {
           const AttributeSet key = keys[i];
           pending_costs.push_back(key);
-          DerivationPlan derivation;
-          const bool planned = options.enable_derivation_planner;
-          if (planned) derivation = cache.PlanDerivation(key);
           prefetch_group->Run(
-              [this, key, derivation = std::move(derivation), planned] {
+              [this, key, derivation = cache.PlanDerivation(key)] {
                 if (OverBudget()) return;
                 Stopwatch sw;
-                cache.Get(key, planned ? &derivation : nullptr);
+                cache.Get(key, &derivation);
                 partition_nanos.fetch_add(sw.ElapsedNanos(),
                                           std::memory_order_relaxed);
               });
@@ -875,21 +870,22 @@ struct Driver {
     if (coordinator != nullptr) {
       // The shutdown handshake: every shard answers with its stats
       // footer, the single mechanism partition-side counters cross the
-      // seam by — in-process and remote runners alike. The planner
-      // counters stay 0 (shards derive by the fixed rule).
+      // seam by — in-process and remote runners alike.
       Status finish = coordinator->Finish();
       if (result.shard_status.ok() && !finish.ok()) {
         result.shard_status = std::move(finish);
       }
-      result.stats.partition_seconds = coordinator->partition_seconds();
-      result.stats.partitions_computed = coordinator->products_computed();
-      result.stats.partitions_evicted = coordinator->partitions_evicted();
-      result.stats.partition_bytes_evicted =
-          coordinator->partition_bytes_evicted();
-      result.stats.partition_bytes_peak =
-          std::max(result.stats.partition_bytes_peak,
-                   coordinator->partition_bytes_peak());
-      result.stats.partition_bytes_final = coordinator->partition_bytes_final();
+      const shard::ShardStatsFooter totals = coordinator->FooterTotals();
+      result.stats.partition_seconds = totals.partition_seconds;
+      result.stats.partitions_computed = totals.products_computed;
+      result.stats.planner_derivations = totals.planner_derivations;
+      result.stats.planner_cost_estimated = totals.planner_cost_estimated;
+      result.stats.planner_cost_realized = totals.planner_cost_realized;
+      result.stats.partitions_evicted = totals.partitions_evicted;
+      result.stats.partition_bytes_evicted = totals.partition_bytes_evicted;
+      result.stats.partition_bytes_peak = std::max(
+          result.stats.partition_bytes_peak, totals.partition_bytes_peak);
+      result.stats.partition_bytes_final = totals.partition_bytes_final;
       result.stats.shard_bytes_shipped = coordinator->bytes_shipped_total();
       result.stats.shard_bytes_per_shard.resize(
           static_cast<size_t>(coordinator->num_shards()));

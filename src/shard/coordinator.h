@@ -191,16 +191,10 @@ class ShardCoordinator {
   /// bootstrap framing overhead is not attributed here.
   CodecByteCounts type_byte_counts(FrameType type) const;
 
-  // Aggregates over the collected stats footers (DiscoveryStats feeds);
-  // shards whose footer never arrived (transport failure) contribute 0.
-  int64_t products_computed() const;
-  int64_t partitions_evicted() const;
-  int64_t partition_bytes_evicted() const;
-  int64_t partition_bytes_final() const;
-  int64_t partition_bytes_peak() const;
-  /// Summed shard-side derivation wall time (see
-  /// ShardRunner::partition_seconds).
-  double partition_seconds() const;
+  /// Every counter of the collected stats footers summed over the shards
+  /// (DiscoveryStats feeds; shard_id and attempt_id stay 0). Shards whose
+  /// footer never arrived (transport failure) contribute 0.
+  ShardStatsFooter FooterTotals() const;
 
   // Supervision observability (DiscoveryStats feeds), summed over the
   // shards. Meaningful any time; stable once Finish returned.

@@ -27,11 +27,6 @@ ShardRunner::ShardRunner(int shard_id, const EncodedTable* table,
       pool_(pool),
       cache_(table, PartitionCache::DeferBasePartitions{}) {
   AOD_CHECK(table != nullptr && inbox != nullptr && outbox != nullptr);
-  // Shard-local derivation uses the fixed rule: with no coordinator-side
-  // catalog to consult, the worklist derivation is the deterministic
-  // choice, and its per-key memoization makes the product counter a pure
-  // function of the batch contents (ARCHITECTURE.md).
-  cache_.set_planner_enabled(false);
   if (options_.enable_sampling_filter &&
       options_.validator == ValidatorKind::kOptimal) {
     // Same seeded sample as any other site given the same config, so
@@ -100,6 +95,9 @@ ShardStatsFooter ShardRunner::FooterStats() const {
   footer.attempt_id = options_.attempt_id;
   footer.frames_served = frames_served_;
   footer.products_computed = cache_.products_computed();
+  footer.planner_derivations = cache_.planner_derivations();
+  footer.planner_cost_estimated = cache_.planner_cost_estimated();
+  footer.planner_cost_realized = cache_.planner_cost_realized();
   footer.partitions_evicted = cache_.partitions_evicted();
   footer.partition_bytes_evicted = bytes_evicted_;
   footer.partition_bytes_final = cache_.bytes_resident();
@@ -172,8 +170,22 @@ Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
 
   // The batch's ParallelFor has joined, so every cache future is
   // resolved — the precondition budget enforcement (and an exact
-  // residency sample) needs.
+  // residency sample) needs. The completed contexts' costs go to the
+  // planner catalog here, in sorted order, and nowhere else: the catalog
+  // changes only at batch boundaries, so every plan within a batch reads
+  // the same catalog and the product count is a pure function of the
+  // batch sequence (ARCHITECTURE.md).
   SampleResidency();
+  std::vector<uint64_t> contexts;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (done[i] && AttributeSet(batch[i].context_bits).size() >= 2) {
+      contexts.push_back(batch[i].context_bits);
+    }
+  }
+  std::sort(contexts.begin(), contexts.end());
+  contexts.erase(std::unique(contexts.begin(), contexts.end()),
+                 contexts.end());
+  for (uint64_t bits : contexts) cache_.PublishCost(AttributeSet(bits));
   if (options_.partition_memory_budget_bytes > 0) {
     bytes_evicted_ += cache_.EnforceBudget(
         options_.partition_memory_budget_bytes);

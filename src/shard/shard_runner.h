@@ -3,10 +3,11 @@
 // A ShardRunner owns a *wire-seeded* partition cache: its base (level-1)
 // partitions arrive as kPartitionBlock frames from the coordinator, not
 // from the table, and larger context partitions are derived shard-locally
-// through the deterministic fixed rule. Each kCandidateBatch frame it
-// receives is validated (in parallel on the shared pool, cooperatively
-// cancellable) and answered with one kResultBatch frame carrying exact
-// bit patterns of every outcome field.
+// by the cache's cost-based planner, whose catalog the runner updates
+// only between batches. Each kCandidateBatch frame it receives is
+// validated (in parallel on the shared pool, cooperatively cancellable)
+// and answered with one kResultBatch frame carrying exact bit patterns
+// of every outcome field.
 //
 // In-process runners share the EncodedTable by pointer — rank columns are
 // immutable — while everything candidate- or partition-shaped crosses the

@@ -72,7 +72,10 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// Version 6: the v4 frame set again; whole-table kTableBlock only and
 /// no fragment frame. The bump makes a stale v5 peer fail with a typed
 /// version error instead of misparsing a table or config block.
-inline constexpr uint16_t kWireVersion = 6;
+/// Version 7: kJobSubmit drops the derivation-planner flag byte (the
+/// planner is the only derivation rule) and kStatsFooter carries the
+/// shard cache's three planner counters after products_computed.
+inline constexpr uint16_t kWireVersion = 7;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -412,6 +415,11 @@ struct ShardStatsFooter {
   /// cross-check for the coordinator.
   int64_t frames_served = 0;
   int64_t products_computed = 0;
+  /// The runner cache's planner counters (PartitionCache::
+  /// planner_derivations and the estimated/realized costs).
+  int64_t planner_derivations = 0;
+  int64_t planner_cost_estimated = 0;
+  int64_t planner_cost_realized = 0;
   int64_t partitions_evicted = 0;
   int64_t partition_bytes_evicted = 0;
   int64_t partition_bytes_final = 0;

@@ -171,7 +171,7 @@ TEST(ConcurrentPartitionCacheTest, ParallelGetsMatchSerialExactly) {
   }
 
   // Hammer a fresh cache from 8 workers; every partition must be
-  // byte-identical to the serial derivation (the fixed-rule guarantee)
+  // byte-identical to the serial derivation (canonical values)
   // and each derived key must be computed exactly once.
   PartitionCache parallel(&t);
   exec::ThreadPool pool(8);
@@ -205,10 +205,12 @@ TEST(ConcurrentPartitionCacheTest, ContendedKeyComputedOnce) {
 TEST(ConcurrentPartitionCacheTest, EvictionThenConcurrentRederive) {
   EncodedTable t = testing_util::RandomEncodedTable(200, 4, 3, 77);
   PartitionCache cache(&t);
-  cache.Get(AttributeSet::Of({0, 1, 2}));
+  const int64_t base = cache.bytes_resident();
+  auto level3 = cache.Get(AttributeSet::Of({0, 1, 2}));
   std::string before = cache.Get(AttributeSet::Of({0, 1}))->ToString();
-  cache.EvictSmallerThan(4);
+  cache.EnforceBudget(base + level3->bytes());
   EXPECT_FALSE(cache.Contains(AttributeSet::Of({0, 1})));
+  EXPECT_TRUE(cache.Contains(AttributeSet::Of({0, 1, 2})));
   exec::ThreadPool pool(4);
   std::vector<std::string> redone(16);
   exec::ParallelFor(&pool, 0, 16, [&](int64_t i) {

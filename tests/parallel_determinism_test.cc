@@ -61,6 +61,9 @@ std::string Fingerprint(const DiscoveryResult& result) {
   AppendInt(&out, s.oc_candidates_pruned);
   AppendInt(&out, s.nodes_processed);
   AppendInt(&out, s.partitions_computed);
+  AppendInt(&out, s.planner_derivations);
+  AppendInt(&out, s.planner_cost_estimated);
+  AppendInt(&out, s.planner_cost_realized);
   AppendInt(&out, s.levels_processed);
   for (int64_t v : s.ocs_per_level) AppendInt(&out, v);
   out += '|';
@@ -167,18 +170,17 @@ TEST(ParallelDeterminismTest, SamplingFilterIsThreadCountInvariant) {
 
 /// Output-only fingerprint (both dependency lists, all payload fields):
 /// what must hold even across options that legitimately change product
-/// counters, i.e. planner on/off and memory budgets.
+/// counters, i.e. memory budgets and shard counts.
 std::string OutputFingerprint(const DiscoveryResult& result) {
   std::string full = Fingerprint(result);
   return full.substr(0, full.find("stats:"));
 }
 
 TEST(ParallelDeterminismTest, PlannerThreadsAndBudgetInvariance) {
-  // The planner tentpole's contract: discovery output is bit-identical
-  // across planner on/off, any thread count, and any partition memory
-  // budget (including one tiny enough to force re-derivation every
-  // level). Full stats determinism additionally holds across thread
-  // counts within each configuration.
+  // The planner's contract: discovery output is bit-identical across
+  // any thread count and any partition memory budget (including one tiny
+  // enough to force re-derivation every level). Full stats determinism
+  // additionally holds across thread counts within each configuration.
   Table t = GenerateNcVoterTable(600, 8, 17);
   EncodedTable enc = EncodeTable(t);
 
@@ -196,20 +198,9 @@ TEST(ParallelDeterminismTest, PlannerThreadsAndBudgetInvariance) {
   options.num_threads = 0;  // hardware concurrency
   EXPECT_EQ(Fingerprint(DiscoverOds(enc, options)), expected_full);
 
-  // Fixed rule: identical output; product schedule may differ.
-  options.num_threads = 1;
-  options.enable_derivation_planner = false;
-  DiscoveryResult fixed = DiscoverOds(enc, options);
-  EXPECT_EQ(OutputFingerprint(fixed), expected_output);
-  EXPECT_EQ(fixed.stats.planner_derivations, 0);
-  const std::string fixed_full = Fingerprint(fixed);
-  options.num_threads = 4;
-  EXPECT_EQ(Fingerprint(DiscoverOds(enc, options)), fixed_full);
-
   // A budget below the base footprint forces eviction (and on-demand
   // re-derivation) at every level boundary; output must not move, and
   // the full fingerprint must still be thread-count invariant.
-  options.enable_derivation_planner = true;
   options.partition_memory_budget_bytes = 1;
   options.num_threads = 1;
   DiscoveryResult budgeted = DiscoverOds(enc, options);
@@ -272,6 +263,7 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
     DiscoveryResult base = DiscoverOds(enc, options);
     EXPECT_EQ(base.stats.shards_used, shards);
     EXPECT_EQ(OutputFingerprint(base), expected_output);
+    EXPECT_GT(base.stats.planner_derivations, 0);
     EXPECT_EQ(base.stats.oc_candidates_validated,
               unsharded.stats.oc_candidates_validated);
     EXPECT_EQ(base.stats.ofd_candidates_validated,

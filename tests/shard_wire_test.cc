@@ -227,15 +227,18 @@ TEST(ShardWireTest, UnsupportedVersionRejected) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("version"), std::string::npos);
 
-  // A stale v5 peer (sliced table blocks, row-range config) gets the
-  // same typed rejection.
-  std::vector<uint8_t> v5 = shard::EncodeCandidateBatch({});
-  v5[4] = 5;
-  v5[5] = 0;
-  Result<DecodedFrame> stale = DecodeFrame(v5);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), StatusCode::kParseError);
-  EXPECT_NE(stale.status().message().find("version"), std::string::npos);
+  // Stale peers get the same typed rejection: v5 (sliced table blocks,
+  // row-range config) and v6 (planner flag in kJobSubmit, no planner
+  // counters in the stats footer).
+  for (uint8_t version : {5, 6}) {
+    std::vector<uint8_t> old = shard::EncodeCandidateBatch({});
+    old[4] = version;
+    old[5] = 0;
+    Result<DecodedFrame> stale = DecodeFrame(old);
+    ASSERT_FALSE(stale.ok()) << "version " << int{version};
+    EXPECT_EQ(stale.status().code(), StatusCode::kParseError);
+    EXPECT_NE(stale.status().message().find("version"), std::string::npos);
+  }
 }
 
 TEST(ShardWireTest, FrameTypeMismatchRejectedByMessageDecoders) {
@@ -413,6 +416,9 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   footer.attempt_id = 4;
   footer.frames_served = 12;
   footer.products_computed = 34;
+  footer.planner_derivations = 21;
+  footer.planner_cost_estimated = 5000;
+  footer.planner_cost_realized = 4800;
   footer.partitions_evicted = 2;
   footer.partition_bytes_evicted = 4096;
   footer.partition_bytes_final = 123;
@@ -429,6 +435,9 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   EXPECT_EQ(back->attempt_id, 4u);
   EXPECT_EQ(back->frames_served, 12);
   EXPECT_EQ(back->products_computed, 34);
+  EXPECT_EQ(back->planner_derivations, 21);
+  EXPECT_EQ(back->planner_cost_estimated, 5000);
+  EXPECT_EQ(back->planner_cost_realized, 4800);
   EXPECT_EQ(back->partitions_evicted, 2);
   EXPECT_EQ(back->partition_bytes_evicted, 4096);
   EXPECT_EQ(back->partition_bytes_final, 123);
@@ -447,6 +456,17 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   HeldFrame bad_decoded(shard::EncodeStatsFooter(footer));
   ASSERT_TRUE(bad_decoded.ok());
   EXPECT_FALSE(shard::DecodeStatsFooter(*bad_decoded).ok());
+  footer.bytes_decoded_raw = 9999;
+  for (int64_t shard::ShardStatsFooter::*planner :
+       {&shard::ShardStatsFooter::planner_derivations,
+        &shard::ShardStatsFooter::planner_cost_estimated,
+        &shard::ShardStatsFooter::planner_cost_realized}) {
+    shard::ShardStatsFooter negative = footer;
+    negative.*planner = -1;
+    HeldFrame bad_planner(shard::EncodeStatsFooter(negative));
+    ASSERT_TRUE(bad_planner.ok());
+    EXPECT_FALSE(shard::DecodeStatsFooter(*bad_planner).ok());
+  }
 
   // The shutdown frame is a bare, checksummed header.
   HeldFrame shutdown(shard::EncodeShutdown());
@@ -482,7 +502,6 @@ TEST(ShardWireTest, WireSeededCacheDerivesIdenticalPartitions) {
   EncodedTable t = testing_util::RandomEncodedTable(200, 4, 3, 33);
   PartitionCache local(&t);
   PartitionCache seeded(&t, PartitionCache::DeferBasePartitions{});
-  seeded.set_planner_enabled(false);
   for (int a = 0; a < t.num_columns(); ++a) {
     // Through the full frame path, as a shard runner receives them.
     HeldFrame frame(shard::EncodePartitionBlock(
