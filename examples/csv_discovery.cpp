@@ -301,12 +301,10 @@ int main(int argc, char** argv) {
     // Next to the codec summary above: what the supervisor absorbed —
     // all zeros on a healthy run.
     std::printf(
-        "shard supervision: %lld retries, %lld respawns, speculation "
-        "%lld won / %lld lost, %lld fallback shards, %lld footers lost\n",
+        "shard supervision: %lld retries, %lld respawns, %lld fallback "
+        "shards, %lld footers lost\n",
         static_cast<long long>(result.stats.shard_retries),
         static_cast<long long>(result.stats.shard_respawns),
-        static_cast<long long>(result.stats.shard_speculative_wins),
-        static_cast<long long>(result.stats.shard_speculative_losses),
         static_cast<long long>(result.stats.shard_fallback_shards),
         static_cast<long long>(result.stats.shard_footers_missing));
   }

@@ -210,9 +210,6 @@ struct Driver {
       topts.channel_decorator = options.shard_channel_decorator;
       topts.supervision.max_retries = options.shard_max_retries;
       topts.supervision.retry_backoff_ms = options.shard_retry_backoff_ms;
-      topts.supervision.speculation_factor =
-          options.shard_speculation_factor;
-      topts.supervision.fallback_inproc = options.shard_fallback_inproc;
       if (options.time_budget_seconds > 0) {
         // Clamp every shard-seam wait (and backoff park) to the run
         // budget: a dead runner costs at most the remaining budget, not
@@ -915,9 +912,6 @@ struct Driver {
       // Supervision observability: every recovery the run survived.
       result.stats.shard_retries = coordinator->shard_retries();
       result.stats.shard_respawns = coordinator->shard_respawns();
-      result.stats.shard_speculative_wins = coordinator->speculative_wins();
-      result.stats.shard_speculative_losses =
-          coordinator->speculative_losses();
       result.stats.shard_fallback_shards = coordinator->fallback_shards();
       result.stats.shard_footers_missing = coordinator->footers_missing();
     } else {

@@ -207,29 +207,20 @@ struct DiscoveryOptions {
   /// set, each wait is additionally clamped to the budget's remaining
   /// time, so a dead runner cannot overshoot a budgeted run.
   double shard_io_timeout_seconds = 300.0;
-  /// Re-attempts allowed per shard per level before the shard degrades
-  /// (or, with fallback off, the run aborts): a failed attempt is torn
+  /// Re-attempts allowed per shard per level: a failed attempt is torn
   /// down and a fresh one — respawned process, reconnected socket —
   /// is re-seeded from the coordinator's encode-once bootstrap frames
-  /// and the level is re-executed. 0 disables ALL supervision (retry,
-  /// speculation, fallback): any shard fault is the typed fail-stop
-  /// abort via DiscoveryResult::shard_status, exactly the pre-supervision
-  /// behavior. Output stays bit-identical under any fault schedule that
-  /// completes (src/shard/supervisor.h).
+  /// and the level is re-executed. Once the budget is spent, a socket or
+  /// process shard runs its slice in-process on the coordinator's pool
+  /// for the rest of the run; an in-process shard aborts the run. 0
+  /// disables ALL supervision (retry and fallback): any shard fault is
+  /// the typed fail-stop abort via DiscoveryResult::shard_status,
+  /// exactly the pre-supervision behavior. Output stays bit-identical
+  /// under any fault schedule that completes (src/shard/supervisor.h).
   int shard_max_retries = 2;
   /// Base backoff before a shard's first re-attempt; doubles per
   /// attempt with deterministic jitter, capped at 2s.
   double shard_retry_backoff_ms = 25.0;
-  /// Straggler speculation (0 = off): once at least half the shards
-  /// finished a level, a shard still running past this factor times the
-  /// median shard latency gets one backup attempt; whichever attempt
-  /// finishes first wins, and exactly one attempt's reply is merged.
-  /// Needs a pool and shard_max_retries >= 1.
-  double shard_speculation_factor = 0.0;
-  /// After the per-level retry budget is exhausted on the socket or
-  /// process transport, execute that shard's slice in-process on the
-  /// coordinator's pool (for the rest of the run) instead of aborting.
-  bool shard_fallback_inproc = true;
   /// Encode shard frames with the delta/varint codecs (wire.h). Output
   /// is bit-identical with compression on or off — the codecs are
   /// lossless and decode-side validation is shared — so this is purely

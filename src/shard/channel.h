@@ -257,9 +257,9 @@ class SocketShardChannel final : public ShardChannel {
 /// A freshly connected localhost TCP endpoint pair. This is the
 /// reconnectable-endpoint seam of the shard supervisor: every
 /// (re)establishment of a socket-transport attempt builds its own pair
-/// — own ephemeral listener, connect, accept, listener dropped — so
-/// concurrent respawns and speculative backup attempts never contend on
-/// a shared accept queue or adopt each other's connections.
+/// — own ephemeral listener, connect, accept, listener dropped — so a
+/// respawned attempt never adopts a torn-down attempt's late connection
+/// out of a shared accept queue.
 struct LoopbackChannelPair {
   /// The connecting side (the coordinator keeps this one).
   std::unique_ptr<SocketShardChannel> near;

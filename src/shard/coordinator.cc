@@ -2,16 +2,12 @@
 
 #include <sys/wait.h>
 
-#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
-#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/macros.h"
-#include "common/stopwatch.h"
 #include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "partition/attribute_set.h"
@@ -19,13 +15,6 @@
 
 namespace aod {
 namespace shard {
-namespace {
-
-/// Floor on the straggler threshold: hedging a level whose median shard
-/// finished in microseconds would respawn constantly for nothing.
-constexpr double kMinHedgeSeconds = 0.05;
-
-}  // namespace
 
 ShardCoordinator::ShardCoordinator(
     const EncodedTable* table, const ShardTransportOptions& transport_options,
@@ -50,7 +39,7 @@ Status ShardCoordinator::Init(int num_shards,
   const bool compress = runner_options.wire_compression;
   // Everything a fresh attempt needs, encoded — and checksummed — once:
   // the same bytes bootstrap the first attempt, every respawn and every
-  // speculative backup, so re-seeding costs sends, not re-encodes.
+  // in-process fallback, so re-seeding costs sends, not re-encodes.
   bootstrap_.table = table_;
   bootstrap_.runner_options = runner_options;
   bootstrap_.num_shards = num_shards;
@@ -127,28 +116,13 @@ Status ShardCoordinator::ValidateBatch(
     batches[static_cast<size_t>(ShardOf(c.context_bits, n))].push_back(c);
   }
 
-  // One result cell per shard for the level. A cell is claimed exactly
-  // once — by the primary attempt or its speculative backup, whichever
-  // finishes first — under the level mutex; the loser's reply is never
-  // folded. That single-claim rule is the speculation dedupe: outcomes
-  // are pure functions of the batch, so the winner's buffered reply is
-  // byte-identical to what the loser would have produced.
+  // One result cell per shard for the level, written only by that
+  // shard's task.
   struct LevelCell {
-    bool done = false;
-    bool backup_launched = false;
-    bool backup_won = false;
     Status status;
     std::vector<WireOutcome> outcomes;
-    double completed_seconds = 0.0;
   };
   std::vector<LevelCell> cells(static_cast<size_t>(n));
-  std::mutex mutex;
-  std::condition_variable cv;
-  int completed = 0;
-  Stopwatch level_sw;
-
-  const bool speculate = !strict() && pool_ != nullptr &&
-                         transport_.supervision.speculation_factor > 0.0;
 
   // Each shard's ship/validate/receive round is one task: chunk decode
   // and (supervised) retry ladders overlap across shards, while the
@@ -159,111 +133,15 @@ Status ShardCoordinator::ValidateBatch(
     LevelCell* cell = &cells[static_cast<size_t>(s)];
     const std::vector<WireCandidate>* batch =
         &batches[static_cast<size_t>(s)];
-    group.Run([sup, cell, batch, &cancel, &mutex, &cv, &completed,
-               &level_sw] {
-      const auto abandoned = [cell, &mutex] {
-        std::lock_guard<std::mutex> lock(mutex);
-        return cell->done;
-      };
-      std::vector<WireOutcome> buffered;
-      Status st = sup->ExecuteLevel(*batch, cancel, abandoned, &buffered);
-      bool won = false;
-      bool raced_backup = false;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!cell->done) {
-          cell->done = true;
-          cell->status = std::move(st);
-          cell->outcomes = std::move(buffered);
-          cell->completed_seconds = level_sw.ElapsedSeconds();
-          ++completed;
-          won = true;
-          raced_backup = cell->backup_launched;
-        }
-      }
-      cv.notify_all();
-      if (won && raced_backup) sup->AbortOther(/*winner_is_backup=*/false);
+    group.Run([sup, cell, batch, &cancel] {
+      cell->status = sup->ExecuteLevel(*batch, cancel, &cell->outcomes);
     });
-  }
-
-  if (speculate) {
-    // The straggler monitor: once at least half the shards finished the
-    // level, any shard still running past factor x the median latency
-    // gets one backup attempt. Runs on the calling thread; the tasks
-    // above run on the pool meanwhile.
-    std::unique_lock<std::mutex> lock(mutex);
-    while (completed < n) {
-      cv.wait_for(lock, std::chrono::milliseconds(20));
-      if (completed >= n || (cancel && cancel())) break;
-      std::vector<double> done_seconds;
-      for (const LevelCell& cell : cells) {
-        if (cell.done) done_seconds.push_back(cell.completed_seconds);
-      }
-      if (done_seconds.size() * 2 < static_cast<size_t>(n)) continue;
-      std::sort(done_seconds.begin(), done_seconds.end());
-      const double median = done_seconds[done_seconds.size() / 2];
-      const double threshold =
-          std::max(transport_.supervision.speculation_factor * median,
-                   kMinHedgeSeconds);
-      if (level_sw.ElapsedSeconds() < threshold) continue;
-      std::vector<int> launch;
-      for (int s = 0; s < n; ++s) {
-        LevelCell& cell = cells[static_cast<size_t>(s)];
-        if (!cell.done && !cell.backup_launched) {
-          cell.backup_launched = true;
-          launch.push_back(s);
-        }
-      }
-      if (launch.empty()) continue;
-      lock.unlock();
-      for (int s : launch) {
-        ShardSupervisor* sup = supervisors_[static_cast<size_t>(s)].get();
-        LevelCell* cell = &cells[static_cast<size_t>(s)];
-        const std::vector<WireCandidate>* batch =
-            &batches[static_cast<size_t>(s)];
-        group.Run([sup, cell, batch, &cancel, &mutex, &cv, &completed,
-                   &level_sw] {
-          const auto abandoned = [cell, &mutex] {
-            std::lock_guard<std::mutex> lock(mutex);
-            return cell->done;
-          };
-          std::vector<WireOutcome> buffered;
-          const Status st =
-              sup->ExecuteLevelBackup(*batch, cancel, abandoned, &buffered);
-          // A backup claims the cell only on success — a backup that
-          // fails (or was aborted by the primary's win) is just a loss,
-          // never the level's verdict.
-          bool won = false;
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (st.ok() && !cell->done) {
-              cell->done = true;
-              cell->backup_won = true;
-              cell->status = Status::OK();
-              cell->outcomes = std::move(buffered);
-              cell->completed_seconds = level_sw.ElapsedSeconds();
-              ++completed;
-              won = true;
-            }
-          }
-          cv.notify_all();
-          if (won) sup->AbortOther(/*winner_is_backup=*/true);
-        });
-      }
-      lock.lock();
-    }
   }
   group.Wait();
 
-  // Post-join, single-threaded: adopt winning backups / discard losing
-  // ones, then fold exactly one claimed reply per shard in shard order
-  // (ascending slots within a shard) — deterministic regardless of
-  // which attempt won or in what order shards finished.
-  for (int s = 0; s < n; ++s) {
-    const LevelCell& cell = cells[static_cast<size_t>(s)];
-    supervisors_[static_cast<size_t>(s)]->ResolveLevel(cell.backup_launched,
-                                                       cell.backup_won);
-  }
+  // Post-join, single-threaded: fold every shard's buffered reply in
+  // shard order (ascending slots within a shard) — deterministic
+  // regardless of the order shards finished in.
   for (const LevelCell& cell : cells) {
     AOD_RETURN_NOT_OK(cell.status);
   }
@@ -442,18 +320,6 @@ int64_t ShardCoordinator::shard_retries() const {
 int64_t ShardCoordinator::shard_respawns() const {
   int64_t total = 0;
   for (const auto& sup : supervisors_) total += sup->respawns();
-  return total;
-}
-
-int64_t ShardCoordinator::speculative_wins() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) total += sup->speculative_wins();
-  return total;
-}
-
-int64_t ShardCoordinator::speculative_losses() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) total += sup->speculative_losses();
   return total;
 }
 

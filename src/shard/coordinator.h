@@ -21,10 +21,9 @@
 //                   validated shard-locally, and the kResultBatch
 //                   replies are folded back into the driver's outcome
 //                   slots in shard order;
-//   supervision     each shard's level execution runs under its
+//   supervision     each shard runs each level as one attempt under its
 //                   ShardSupervisor (src/shard/supervisor.h): failures
-//                   are retried with backoff and a fresh attempt,
-//                   stragglers can be speculatively re-executed, and a
+//                   are retried with backoff and a fresh attempt, and a
 //                   shard whose transport stays broken degrades to
 //                   in-process execution instead of aborting the run;
 //   Finish()        the shutdown handshake: a kShutdown frame per
@@ -51,14 +50,14 @@
 //
 // Determinism: the assignment rule is a pure hash of the context set, a
 // runner's outcomes are pure functions of its batch (canonical
-// partition values, deterministic fixed-rule derivation, seeded
-// sampler), replayed and speculated attempts receive byte-identical
-// inputs, and exactly one attempt's buffered reply per shard is folded
-// — in shard order, ascending slots within a shard — so sharded
-// discovery output is bit-identical to the unsharded run for any shard
-// count, any thread count, any transport, and any fault schedule that
-// completes (gated by tests/parallel_determinism_test,
-// tests/shard_supervisor_test and tests/shard_process_e2e_test).
+// partition values whatever the derivation path, seeded sampler), a
+// replayed attempt receives byte-identical inputs, and exactly one
+// attempt's buffered reply per shard is folded — in shard order,
+// ascending slots within a shard — so sharded discovery output is
+// bit-identical to the unsharded run for any shard count, any thread
+// count, any transport, and any fault schedule that completes (gated by
+// tests/parallel_determinism_test, tests/shard_supervisor_test and
+// tests/shard_process_e2e_test).
 #ifndef AOD_SHARD_COORDINATOR_H_
 #define AOD_SHARD_COORDINATOR_H_
 
@@ -100,7 +99,7 @@ struct ShardTransportOptions {
   double io_timeout_seconds = 300.0;
   /// Receiver-side frame size cap (see ChannelOptions).
   int64_t max_frame_bytes = 1LL << 30;
-  /// Retry/speculation/fallback policy (src/shard/supervisor.h);
+  /// Retry/fallback policy (src/shard/supervisor.h);
   /// supervision.max_retries == 0 is strict fail-stop mode.
   ShardSupervisionOptions supervision;
   /// Test seam: wraps every coordinator-side channel endpoint (e.g. in a
@@ -150,7 +149,7 @@ class ShardCoordinator {
   /// outside, ascending slots within a shard — after every shard's
   /// level completed. Replies are buffered per shard while in flight
   /// (chunk decode overlaps across shards on the pool); buffering is
-  /// what lets a speculated level fold exactly one winning attempt's
+  /// what lets a retried level fold only the successful attempt's
   /// outcomes, keeping the merge bit-identical under any fault
   /// schedule. Nothing is folded on a non-OK return.
   Status ValidateBatch(const std::vector<WireCandidate>& candidates,
@@ -200,8 +199,6 @@ class ShardCoordinator {
   // shards. Meaningful any time; stable once Finish returned.
   int64_t shard_retries() const;
   int64_t shard_respawns() const;
-  int64_t speculative_wins() const;
-  int64_t speculative_losses() const;
   /// Shards currently degraded to in-process execution.
   int64_t fallback_shards() const;
   /// Shards whose stats footer was lost to a tolerated shutdown fault.

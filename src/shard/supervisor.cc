@@ -58,7 +58,6 @@ ShardSupervisor::~ShardSupervisor() {
   // Owners run the Finish sequence first; this is the last-resort path
   // (e.g. a failed Create) — kill and reap whatever is still alive so a
   // supervisor never leaks a child.
-  Teardown(&backup_);
   Teardown(&current_);
 }
 
@@ -157,9 +156,9 @@ Status ShardSupervisor::BuildAttempt(bool force_inproc,
             "process transport needs ShardTransportOptions::runner_path or "
             "$AOD_SHARD_RUNNER");
       }
-      // Every attempt binds its own ephemeral listener: concurrent
-      // respawns and speculative backups must never adopt each other's
-      // connections out of a shared accept queue.
+      // Every attempt binds its own ephemeral listener: a respawn must
+      // never adopt a torn-down attempt's late connection out of a
+      // shared accept queue.
       AOD_ASSIGN_OR_RETURN(std::unique_ptr<SocketListener> listener,
                            SocketListener::Bind());
       const std::string endpoint =
@@ -250,9 +249,7 @@ Status ShardSupervisor::EstablishCurrent(bool force_inproc,
 
 Status ShardSupervisor::ExecuteLevelOnce(
     Attempt* attempt, const std::vector<WireCandidate>& batch,
-    const std::function<bool()>& cancel,
-    const std::function<bool()>& abandoned,
-    std::vector<WireOutcome>* out) {
+    const std::function<bool()>& cancel, std::vector<WireOutcome>* out) {
   CodecByteCounts encode_counts;
   AOD_RETURN_NOT_OK(attempt->to_shard->Send(EncodeCandidateBatch(
       batch, bootstrap_->runner_options.wire_compression, &encode_counts)));
@@ -268,11 +265,6 @@ Status ShardSupervisor::ExecuteLevelOnce(
   size_t chunks = 0;
   CodecByteCounts decode_counts;
   for (;;) {
-    if (abandoned && abandoned()) {
-      // Never user-surfaced: the level is already done via the sibling
-      // attempt; the supervisor just stops driving this one.
-      return Status::Closed("attempt superseded by a faster sibling");
-    }
     if (++chunks > max_chunks) {
       return Status::ParseError("shard result stream never finalized");
     }
@@ -289,8 +281,7 @@ Status ShardSupervisor::ExecuteLevelOnce(
 }
 
 void ShardSupervisor::Backoff(int attempt_try,
-                              const std::function<bool()>& cancel,
-                              const std::function<bool()>& abandoned) {
+                              const std::function<bool()>& cancel) {
   const double base = supervision_.retry_backoff_ms / 1000.0;
   if (base <= 0.0) return;
   // Deterministic jitter in [0.5, 1.0): a function of (shard, attempt)
@@ -312,10 +303,9 @@ void ShardSupervisor::Backoff(int attempt_try,
                      std::chrono::duration_cast<
                          std::chrono::steady_clock::duration>(
                          std::chrono::duration<double>(sleep_seconds));
-  // Sliced so a cancellation or a sibling's win ends the park promptly.
+  // Sliced so a cancellation ends the park promptly.
   while (std::chrono::steady_clock::now() < until) {
     if (cancel && cancel()) return;
-    if (abandoned && abandoned()) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
@@ -363,7 +353,7 @@ Status ShardSupervisor::Start() {
   for (int attempt_try = 0;; ++attempt_try) {
     if (attempt_try > 0) {
       ++retries_;
-      Backoff(attempt_try, {}, {});
+      Backoff(attempt_try, {});
       // Backoff is clamped to the remaining run deadline, so on a tight
       // budget the park wakes *at* the deadline; another establish
       // attempt would still cost its bounded I/O floor. Surface the
@@ -376,8 +366,7 @@ Status ShardSupervisor::Start() {
     Teardown(&current_);
     if (DeadlineExpired()) return st;
     if (attempt_try >= supervision_.max_retries) {
-      if (supervision_.fallback_inproc &&
-          transport_->transport != ShardTransport::kInProcess) {
+      if (transport_->transport != ShardTransport::kInProcess) {
         const Status fallback = EstablishCurrent(/*force_inproc=*/true, {});
         if (fallback.ok()) {
           fell_back_ = true;
@@ -393,13 +382,12 @@ Status ShardSupervisor::Start() {
 
 Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
                                      const std::function<bool()>& cancel,
-                                     const std::function<bool()>& abandoned,
                                      std::vector<WireOutcome>* out) {
   Status st = Status::OK();
   for (int attempt_try = 0;; ++attempt_try) {
     if (attempt_try > 0) {
       ++retries_;
-      Backoff(attempt_try, cancel, abandoned);
+      Backoff(attempt_try, cancel);
       // Same rule as Start: a backoff that woke at the clamped deadline
       // must not buy one more attempt (each attempt is bounded below by
       // the I/O-timeout floor, so overshoot compounds per retry).
@@ -418,15 +406,13 @@ Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
     }
     if (st.ok()) {
       std::vector<WireOutcome> buffered;
-      st = ExecuteLevelOnce(current_.get(), batch, cancel, abandoned,
-                            &buffered);
+      st = ExecuteLevelOnce(current_.get(), batch, cancel, &buffered);
       if (st.ok()) {
         *out = std::move(buffered);
         return st;
       }
     }
     if (strict()) return st;  // PR 5 contract: first fault surfaces as-is
-    if (abandoned && abandoned()) return st;
     Teardown(&current_);
     if (cancel && cancel()) return st;
     if (DeadlineExpired()) return st;
@@ -435,14 +421,13 @@ Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
       // executing this shard's slice in-process rather than aborting
       // the run. One successful fallback pins the shard in-process for
       // the rest of the run (the transport already proved persistent).
-      if (supervision_.fallback_inproc &&
-          transport_->transport != ShardTransport::kInProcess &&
+      if (transport_->transport != ShardTransport::kInProcess &&
           !fell_back_) {
         Status fallback = EstablishCurrent(/*force_inproc=*/true, cancel);
         if (fallback.ok()) {
           std::vector<WireOutcome> buffered;
-          fallback = ExecuteLevelOnce(current_.get(), batch, cancel,
-                                      abandoned, &buffered);
+          fallback =
+              ExecuteLevelOnce(current_.get(), batch, cancel, &buffered);
           if (fallback.ok()) {
             fell_back_ = true;
             *out = std::move(buffered);
@@ -454,57 +439,6 @@ Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
       }
       return st;
     }
-  }
-}
-
-Status ShardSupervisor::ExecuteLevelBackup(
-    const std::vector<WireCandidate>& batch,
-    const std::function<bool()>& cancel,
-    const std::function<bool()>& abandoned,
-    std::vector<WireOutcome>* out) {
-  std::unique_ptr<Attempt> attempt;
-  const Status built = BuildAttempt(fell_back_, &attempt);
-  Attempt* raw = attempt.get();
-  {
-    // Installed even half-built (pid reap parity with EstablishCurrent);
-    // from here the primary's winning task can see — and Close — it.
-    std::lock_guard<std::mutex> lock(attempts_mutex_);
-    backup_ = std::move(attempt);
-  }
-  AOD_RETURN_NOT_OK(built);
-  if (abandoned && abandoned()) {
-    return Status::Closed("attempt superseded by a faster sibling");
-  }
-  AOD_RETURN_NOT_OK(SeedAttempt(raw, cancel));
-  return ExecuteLevelOnce(raw, batch, cancel, abandoned, out);
-}
-
-void ShardSupervisor::AbortOther(bool winner_is_backup) {
-  // Close only — never destroy: the losing task still holds its raw
-  // attempt pointer. Close is thread-safe and wakes a blocked receive
-  // with kClosed, so the loser unblocks now instead of at its timeout;
-  // ResolveLevel destroys after both tasks joined.
-  std::lock_guard<std::mutex> lock(attempts_mutex_);
-  Attempt* loser = winner_is_backup ? current_.get() : backup_.get();
-  if (loser == nullptr) return;
-  if (loser->to_shard != nullptr) {
-    loser->to_shard->Close();
-    if (loser->from_shard != loser->to_shard) loser->from_shard->Close();
-  }
-  if (loser->runner_side != nullptr) loser->runner_side->Close();
-}
-
-void ShardSupervisor::ResolveLevel(bool backup_launched, bool backup_won) {
-  if (!backup_launched) return;
-  if (backup_won) {
-    ++speculative_wins_;
-    Teardown(&current_);
-    std::lock_guard<std::mutex> lock(attempts_mutex_);
-    current_ = std::move(backup_);
-    if (current_ != nullptr && current_->fallback) fell_back_ = true;
-  } else {
-    ++speculative_losses_;
-    Teardown(&backup_);
   }
 }
 
@@ -596,20 +530,18 @@ Status ShardSupervisor::CollectFooter() {
 
 void ShardSupervisor::CloseChannels() {
   std::lock_guard<std::mutex> lock(attempts_mutex_);
-  for (Attempt* a : {current_.get(), backup_.get()}) {
-    if (a == nullptr || a->to_shard == nullptr) continue;
-    a->to_shard->Close();
-    if (a->from_shard != a->to_shard) a->from_shard->Close();
-  }
+  Attempt* a = current_.get();
+  if (a == nullptr || a->to_shard == nullptr) return;
+  a->to_shard->Close();
+  if (a->from_shard != a->to_shard) a->from_shard->Close();
 }
 
 void ShardSupervisor::ReleaseProcesses(std::vector<ShardReapJob>* jobs) {
   std::lock_guard<std::mutex> lock(attempts_mutex_);
-  for (Attempt* a : {current_.get(), backup_.get()}) {
-    if (a == nullptr || a->pid < 0) continue;
-    jobs->push_back(ShardReapJob{a->pid});
-    a->pid = -1;
-  }
+  Attempt* a = current_.get();
+  if (a == nullptr || a->pid < 0) return;
+  jobs->push_back(ShardReapJob{a->pid});
+  a->pid = -1;
 }
 
 int64_t ShardSupervisor::bytes_shipped() const {
@@ -619,11 +551,10 @@ int64_t ShardSupervisor::bytes_shipped() const {
     total = retired_bytes_;
   }
   std::lock_guard<std::mutex> lock(attempts_mutex_);
-  for (const Attempt* a : {current_.get(), backup_.get()}) {
-    if (a == nullptr) continue;
-    if (a->to_shard != nullptr) total += a->to_shard->bytes_sent();
-    if (a->from_shard != nullptr) total += a->from_shard->bytes_received();
-  }
+  const Attempt* a = current_.get();
+  if (a == nullptr) return total;
+  if (a->to_shard != nullptr) total += a->to_shard->bytes_sent();
+  if (a->from_shard != nullptr) total += a->from_shard->bytes_received();
   return total;
 }
 

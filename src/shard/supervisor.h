@@ -1,10 +1,11 @@
-// Per-shard supervision: retry, respawn, speculate, degrade.
+// Per-shard supervision: retry, respawn, degrade.
 //
 // PR 5/6 made every transport fault fail-stop: one torn frame or dead
 // runner aborted the whole run with DiscoveryResult::shard_status,
 // throwing away all sibling shards' work. A ShardSupervisor turns shard
 // failure into a retried, bounded, observable event — the MapReduce
-// re-execution + backup-task model applied to the shard seam:
+// re-execution model applied to the shard seam. Each shard runs each
+// level as one supervised attempt:
 //
 //   retry / respawn   a failed level (or failed establishment) tears the
 //                     attempt down and builds a fresh one — new process
@@ -12,16 +13,6 @@
 //                     encode-once bootstrap frames — after an
 //                     exponential backoff with deterministic jitter,
 //                     up to max_retries re-attempts per level;
-//   speculation       when the coordinator decides a shard is a
-//                     straggler (>= factor x the median shard latency
-//                     for the level), it launches one backup attempt
-//                     beside the primary and takes whichever finishes
-//                     first. Outcomes are pure functions of the batch,
-//                     so either attempt's reply is bit-identical; the
-//                     coordinator folds exactly one winner per shard
-//                     (dedup by the level's result cell, keyed by the
-//                     existing deterministic slot keys), so the merge
-//                     never sees duplicates;
 //   degradation       once the retry budget is exhausted on the socket
 //                     or process transport, the shard's candidate slice
 //                     executes in-process on the coordinator's pool (an
@@ -33,19 +24,17 @@
 // footer, so a superseded attempt's footer is distinguishable from the
 // live one.
 //
-// Strict mode: max_retries == 0 disables all three mechanisms and
+// Strict mode: max_retries == 0 disables retry and fallback and
 // preserves the PR 5/6 failure contract exactly — any fault is a typed
 // non-OK status, never a hang, never a partially merged level
 // (tests/shard_channel_conformance_test pins this with retries pinned
 // to 0).
 //
-// Threading: a supervisor's primary-path methods (Start, ExecuteLevel,
-// Finish-phase calls) are driven by one task at a time. Speculation
-// adds exactly two cross-thread touch points, both internal: the backup
-// attempt lives in its own slot, and AbortOther() closes the losing
-// attempt's channels from the winning task (channel Close is
-// thread-safe and wakes blocked receivers). Attempt lifetime is guarded
-// by a mutex so a Close from the winner never races a teardown.
+// Threading: a supervisor is driven by one thread at a time — Start
+// and the Finish-phase calls from the coordinator's thread,
+// ExecuteLevel and PumpShutdownServe from one pool task per shard —
+// and each hand-over is ordered by a TaskGroup join. No method is
+// called concurrently with another on the same supervisor.
 #ifndef AOD_SHARD_SUPERVISOR_H_
 #define AOD_SHARD_SUPERVISOR_H_
 
@@ -79,19 +68,14 @@ struct ShardTransportOptions;
 /// user-facing knobs).
 struct ShardSupervisionOptions {
   /// Re-attempts allowed per level (and for the initial establishment)
-  /// before the shard degrades or the run aborts. 0 = strict mode: no
-  /// retry, no speculation, no fallback — the PR 5 fail-stop contract.
+  /// before the shard degrades to in-process execution (socket/process
+  /// transports) or the run aborts (in-process transport). 0 = strict
+  /// mode: no retry, no fallback — the PR 5 fail-stop contract.
   int max_retries = 2;
   /// Base backoff before the first re-attempt; doubles per attempt with
   /// deterministic (hash-of-(shard, attempt)) jitter, capped at 2s and
   /// at the run deadline.
   double retry_backoff_ms = 25.0;
-  /// Straggler hedging: >= this factor x the median shard latency of
-  /// the level launches one backup attempt (0 = off). Needs a pool.
-  double speculation_factor = 0.0;
-  /// After retry exhaustion on socket/process transports, execute the
-  /// shard's slice in-process instead of aborting.
-  bool fallback_inproc = true;
   /// Absolute deadline of the discovery run (time_point::min() = none).
   /// Every per-attempt receive timeout, accept timeout and backoff
   /// sleep is clamped to the time remaining, so a dead runner cannot
@@ -147,31 +131,12 @@ class ShardSupervisor {
   /// and receives the chunked reply into `out` (ascending slot order).
   /// On failure: teardown, backoff, respawn, re-execute — up to
   /// max_retries re-attempts — then the in-process fallback; only when
-  /// all of that is exhausted does the error surface. `abandoned` is
-  /// polled between steps so a superseded primary (its backup already
-  /// won) stops promptly. Empty batches still make the round trip: the
-  /// request/reply cadence is one frame per shard per level.
+  /// all of that is exhausted does the error surface. Empty batches
+  /// still make the round trip: the request/reply cadence is one frame
+  /// per shard per level.
   Status ExecuteLevel(const std::vector<WireCandidate>& batch,
                       const std::function<bool()>& cancel,
-                      const std::function<bool()>& abandoned,
                       std::vector<WireOutcome>* out);
-
-  /// The speculative backup: one fresh attempt (no retries — a backup
-  /// that fails is simply a loss), executed beside the primary.
-  Status ExecuteLevelBackup(const std::vector<WireCandidate>& batch,
-                            const std::function<bool()>& cancel,
-                            const std::function<bool()>& abandoned,
-                            std::vector<WireOutcome>* out);
-
-  /// Called by the level's winning task: closes the losing attempt's
-  /// channels so a blocked receive wakes now instead of at its timeout.
-  void AbortOther(bool winner_is_backup);
-
-  /// Post-join reconciliation of a speculated level (single-threaded):
-  /// adopts the backup as the current attempt if it won (tearing the
-  /// superseded primary down), otherwise discards it; counts the
-  /// win/loss.
-  void ResolveLevel(bool backup_launched, bool backup_won);
 
   // --- Finish phase (driven by ShardCoordinator::Finish, in order) ---
   /// Ships the kShutdown frame on the current attempt.
@@ -189,14 +154,12 @@ class ShardSupervisor {
   /// shared-deadline reap; the supervisor forgets the pids.
   void ReleaseProcesses(std::vector<ShardReapJob>* jobs);
 
-  // --- Observability (read after tasks joined; atomics for the two
-  // counters speculation can touch cross-thread) ---
+  // --- Observability (read by the coordinator after the level tasks
+  // joined) ---
   int shard_id() const { return shard_id_; }
   bool strict() const { return supervision_.max_retries <= 0; }
   int64_t retries() const { return retries_.load(); }
   int64_t respawns() const { return respawns_.load(); }
-  int64_t speculative_wins() const { return speculative_wins_; }
-  int64_t speculative_losses() const { return speculative_losses_; }
   bool fell_back() const { return fell_back_; }
   bool footer_missing() const { return footer_missing_; }
   bool footer_valid() const { return footer_valid_; }
@@ -248,12 +211,10 @@ class ShardSupervisor {
   Status ExecuteLevelOnce(Attempt* attempt,
                           const std::vector<WireCandidate>& batch,
                           const std::function<bool()>& cancel,
-                          const std::function<bool()>& abandoned,
                           std::vector<WireOutcome>* out);
   /// Exponential backoff with deterministic jitter before re-attempt
-  /// `attempt_try`; returns early on cancel/abandon/deadline.
-  void Backoff(int attempt_try, const std::function<bool()>& cancel,
-               const std::function<bool()>& abandoned);
+  /// `attempt_try`; returns early on cancel/deadline.
+  void Backoff(int attempt_try, const std::function<bool()>& cancel);
   /// Swaps the slot empty under the attempt mutex, then closes channels,
   /// SIGKILLs + reaps a live process, and folds the attempt's channel
   /// byte counters into retired_bytes_.
@@ -266,25 +227,24 @@ class ShardSupervisor {
   const ShardSupervisionOptions supervision_;
   exec::ThreadPool* const pool_;
 
-  /// Guards current_/backup_ pointer identity against AbortOther from
-  /// the winning task; the owning task still uses the raw attempt
-  /// outside the lock (channel ops are thread-safe, destruction always
-  /// goes through Teardown's swap-then-destroy).
+  /// Guards current_'s pointer identity. No cross-thread caller remains
+  /// (see "Threading" above): every reader and writer is the one thread
+  /// driving the supervisor at the time.
   mutable std::mutex attempts_mutex_;
   std::unique_ptr<Attempt> current_;
-  std::unique_ptr<Attempt> backup_;
   std::atomic<uint32_t> attempt_seq_{0};
 
-  /// Guards the codec byte counters (primary and backup tasks both
-  /// encode/decode).
+  /// Guards the codec byte counters. Like attempts_mutex_, it has no
+  /// cross-thread caller left: the level task encodes and decodes, the
+  /// coordinator reads after the join.
   mutable std::mutex stats_mutex_;
   CodecByteCounts by_type_[static_cast<size_t>(FrameType::kBatch) + 1];
   int64_t retired_bytes_ = 0;
 
+  /// Written by the driving thread, read by the coordinator after the
+  /// join — atomics without a concurrent writer.
   std::atomic<int64_t> retries_{0};
   std::atomic<int64_t> respawns_{0};
-  int64_t speculative_wins_ = 0;
-  int64_t speculative_losses_ = 0;
   bool fell_back_ = false;
   bool footer_missing_ = false;
   bool footer_valid_ = false;

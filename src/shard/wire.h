@@ -260,6 +260,9 @@ struct DecodedFrame {
 /// The returned view aliases the input bytes, which must outlive it.
 Result<DecodedFrame> DecodeFrame(const uint8_t* data, size_t size);
 Result<DecodedFrame> DecodeFrame(const std::vector<uint8_t>& frame);
+/// A temporary frame would be freed before the view is read: hold the
+/// bytes in a named variable instead.
+Result<DecodedFrame> DecodeFrame(std::vector<uint8_t>&&) = delete;
 
 // ---------------------------------------------------------------------------
 // Message vocabulary. One encode/decode pair per FrameType; decoders
@@ -343,9 +346,9 @@ struct WireRunnerConfig {
   uint32_t shard_id = 0;
   /// Which supervised (re)establishment of this shard the config belongs
   /// to: 0 for the first attempt, bumped by the coordinator on every
-  /// respawn/reconnect and on speculative backup attempts. The runner
-  /// echoes it in its stats footer so the coordinator can reject a
-  /// footer that belongs to an abandoned attempt.
+  /// respawn/reconnect. The runner echoes it in its stats footer so the
+  /// coordinator can reject a footer that belongs to a torn-down
+  /// attempt.
   uint32_t attempt_id = 0;
   /// ValidatorKind's underlying value; decoders reject anything > 2.
   uint8_t validator = 2;

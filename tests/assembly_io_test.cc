@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <fstream>
 
+#include "common/endian.h"
 #include "data/csv_parser.h"
 #include "gen/flight_generator.h"
 #include "od/aoc_lis_validator.h"
@@ -184,8 +185,6 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
                                     {"result", 800, 700}};
   result.stats.shard_retries = 4;
   result.stats.shard_respawns = 2;
-  result.stats.shard_speculative_wins = 1;
-  result.stats.shard_speculative_losses = 1;
   result.stats.shard_fallback_shards = 1;
   result.stats.shard_footers_missing = 2;
   result.timed_out = true;
@@ -223,8 +222,6 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   EXPECT_EQ(s.shard_frame_bytes[1].bytes_wire, 700);
   EXPECT_EQ(s.shard_retries, 4);
   EXPECT_EQ(s.shard_respawns, 2);
-  EXPECT_EQ(s.shard_speculative_wins, 1);
-  EXPECT_EQ(s.shard_speculative_losses, 1);
   EXPECT_EQ(s.shard_fallback_shards, 1);
   EXPECT_EQ(s.shard_footers_missing, 2);
   EXPECT_EQ(s.nodes_processed, result.stats.nodes_processed);
@@ -260,6 +257,13 @@ TEST(ResultIoTest, BinaryBlobRejectsTruncationAndCorruption) {
   std::vector<uint8_t> wrong_version = blob;
   wrong_version[0] ^= 0xFF;
   EXPECT_FALSE(DeserializeResult(wrong_version).ok());
+  // So is a blob in the previous layout (version 2): a typed
+  // ParseError, never a misparse.
+  std::vector<uint8_t> version_two = blob;
+  endian::StoreU16(version_two.data(), 2);
+  Result<DiscoveryResult> old = DeserializeResult(version_two);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kParseError);
 }
 
 TEST(ResultIoTest, BinaryBlobRoundTripsMixedKindRecords) {

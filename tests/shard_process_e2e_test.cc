@@ -288,14 +288,18 @@ TEST(ShardProcessE2eTest, IoTimeoutIsClampedToTheRunDeadline) {
   options.time_budget_seconds = 1.0;
   options.shard_max_retries = 1;
   options.shard_retry_backoff_ms = 1.0;
-  options.shard_fallback_inproc = false;
   const auto start = std::chrono::steady_clock::now();
   DiscoveryResult result = DiscoverOds(enc, options);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  ASSERT_FALSE(result.shard_status.ok());
   EXPECT_LT(elapsed, 10.0) << "I/O waits were not clamped to the budget";
+  // A coherent terminal state: either the budget ran out before the
+  // in-process fallback could take over (a typed error), or the one
+  // shard degraded to in-process execution.
+  EXPECT_TRUE(!result.shard_status.ok() ||
+              result.stats.shard_fallback_shards == 1)
+      << result.shard_status.ToString();
 }
 
 }  // namespace

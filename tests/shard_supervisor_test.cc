@@ -3,18 +3,16 @@
 // The strict-mode contract — any fault is a typed fail-stop abort — is
 // pinned by tests/shard_channel_conformance_test.cc. This suite pins
 // the supervised contract on top of it: with shard_max_retries >= 1 the
-// same faults are absorbed by the retry / respawn / speculation /
-// fallback ladder and the run COMPLETES, bit-identical to the unsharded
-// run, with the recovery visible in the supervision counters.
+// same faults are absorbed by the retry / respawn / fallback ladder and
+// the run COMPLETES, bit-identical to the unsharded run, with the
+// recovery visible in the supervision counters.
 //
 //   - the fault sweep injects one fault fleet-wide (shared budget) per
 //     run, across every fault kind x frame position x {socket, process};
 //   - the attempt-1-vs-2 tests fault the first AND second attempt of
 //     one shard, forcing the ladder two rungs deep;
 //   - the persistent-fault test breaks every attempt so the shards must
-//     degrade to in-process execution;
-//   - the speculation test stalls (but never breaks) one shard so a
-//     backup attempt races it and wins.
+//     degrade to in-process execution.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -77,7 +75,6 @@ std::string OutputFingerprint(const DiscoveryResult& result) {
 
 int64_t RecoveryTotal(const DiscoveryStats& stats) {
   return stats.shard_retries + stats.shard_respawns +
-         stats.shard_speculative_wins + stats.shard_speculative_losses +
          stats.shard_fallback_shards + stats.shard_footers_missing;
 }
 
@@ -372,46 +369,6 @@ TEST(ShardSupervisorInprocTest, TightBudgetBoundsBackoffParks) {
   // surfaced as a partial result, or the persistent fault as a typed
   // error — never a hang (the bound above) or a crash.
   EXPECT_TRUE(result.timed_out || !result.shard_status.ok());
-}
-
-// Straggler speculation: one shard's receive path stalls for ~2.5 s on
-// an otherwise healthy link. Once its sibling finished the level, the
-// supervisor launches a backup attempt past speculation_factor x the
-// median shard latency; the backup wins, exactly one attempt's reply is
-// merged, and the output must not change.
-TEST(ShardSupervisorSpeculationTest, StalledShardIsHedgedAndBeaten) {
-  Table t = GenerateNcVoterTable(150, 4, 9);
-  EncodedTable enc = EncodeTable(t);
-
-  DiscoveryOptions unsharded_options;
-  unsharded_options.epsilon = 0.1;
-  unsharded_options.num_threads = 2;
-  DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
-  ASSERT_TRUE(unsharded.shard_status.ok());
-
-  std::atomic<int> budget{1};  // exactly one stall, fleet-wide
-  DiscoveryOptions options =
-      SupervisedOptions(ShardTransport::kSocket, "");
-  options.num_threads = 4;
-  options.shard_io_timeout_seconds = 30.0;  // the stall is not a timeout
-  options.shard_speculation_factor = 2.0;
-  options.shard_channel_decorator =
-      [&](std::unique_ptr<ShardChannel> inner)
-      -> std::unique_ptr<ShardChannel> {
-    FlakyChannel::Plan plan;
-    plan.fault = FlakyChannel::Fault::kStallReceive;
-    plan.trigger_after = 1;
-    plan.stall_ms = 2500;
-    plan.shared_budget = &budget;
-    return std::make_unique<FlakyChannel>(std::move(inner), plan);
-  };
-  DiscoveryResult result = DiscoverOds(enc, options);
-  ASSERT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
-  EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
-  if (budget.load() <= 0) {
-    EXPECT_GE(result.stats.shard_speculative_wins, 1);
-  }
-  EXPECT_EQ(result.stats.shard_fallback_shards, 0);
 }
 
 }  // namespace
