@@ -40,11 +40,7 @@ constexpr ShardTransport kTransports[] = {ShardTransport::kInProcess,
 struct ShardPoint {
   int shards = 0;
   ShardTransport transport = ShardTransport::kInProcess;
-  bool compression = true;
   RunResult run;
-  int64_t bytes_shipped = 0;
-  int64_t bytes_raw = 0;
-  int64_t bytes_wire = 0;
 };
 
 struct DatasetSeries {
@@ -65,9 +61,9 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
                    : GenerateNcVoterTable(series.rows, 10, 1729);
   EncodedTable enc = EncodeTable(t);
 
-  std::printf("%16s %12s %9s %8s %8s %11s %10s %7s %12s\n",
-              "shards/transport", "wall(s)", "vs base", "#AOC", "#AOFD",
-              "wire(MiB)", "raw(MiB)", "ratio", "merge.wall");
+  std::printf("%16s %12s %9s %8s %8s %11s %12s\n", "shards/transport",
+              "wall(s)", "vs base", "#AOC", "#AOFD", "wire(MiB)",
+              "merge.wall");
   double baseline = 0.0;
   int64_t baseline_ocs = -1;
   int64_t baseline_ofds = -1;
@@ -76,58 +72,42 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
       if (shards == 0 && transport != ShardTransport::kInProcess) {
         continue;  // the unsharded baseline has no transport dimension
       }
-      // The compression-off row at 4 shards isolates the codec's
-      // contribution: same frames, raw bodies — the wire(MiB) delta and
-      // the wall-clock delta against the compressed 4-shard row are the
-      // bytes saved and the (de)coding CPU spent.
-      for (bool compression : {true, false}) {
-        if (!compression && shards != 4) continue;
-        DiscoveryOptions options;
-        options.validator = ValidatorKind::kOptimal;
-        options.epsilon = 0.10;
-        options.pool = pool;
-        options.num_shards = shards;
-        options.shard_transport = transport;
-        options.shard_wire_compression = compression;
-        ShardPoint point;
-        point.shards = shards;
-        point.transport = transport;
-        point.compression = compression;
-        point.run = RunDiscoveryWithOptions(enc, options);
-        point.bytes_shipped = point.run.full.stats.shard_bytes_shipped;
-        point.bytes_raw = point.run.full.stats.shard_bytes_raw;
-        point.bytes_wire = point.run.full.stats.shard_bytes_wire;
-        if (shards == 0) {
-          baseline = point.run.seconds;
-          baseline_ocs = point.run.ocs;
-          baseline_ofds = point.run.ofds;
-        }
-        const bool deterministic = point.run.ocs == baseline_ocs &&
-                                   point.run.ofds == baseline_ofds &&
-                                   point.run.full.shard_status.ok();
-        char label[28];
-        if (shards == 0) {
-          std::snprintf(label, sizeof(label), "unsharded");
-        } else {
-          std::snprintf(label, sizeof(label), "%d/%s%s", shards,
-                        ShardTransportToString(transport),
-                        compression ? "" : "-raw");
-        }
-        std::printf(
-            "%16s %12.3f %8.2fx %8lld %8lld %11.2f %10.2f %6.2fx %12.3f%s\n",
-            label, point.run.seconds,
-            point.run.seconds > 0 ? baseline / point.run.seconds : 0.0,
-            static_cast<long long>(point.run.ocs),
-            static_cast<long long>(point.run.ofds),
-            static_cast<double>(point.bytes_wire) / (1 << 20),
-            static_cast<double>(point.bytes_raw) / (1 << 20),
-            point.bytes_wire > 0 ? static_cast<double>(point.bytes_raw) /
-                                       static_cast<double>(point.bytes_wire)
-                                 : 0.0,
-            point.run.full.stats.merge_wall_seconds,
-            deterministic ? "" : "  <-- DETERMINISM VIOLATION");
-        series.points.push_back(std::move(point));
+      DiscoveryOptions options;
+      options.validator = ValidatorKind::kOptimal;
+      options.epsilon = 0.10;
+      options.pool = pool;
+      options.num_shards = shards;
+      options.shard_transport = transport;
+      ShardPoint point;
+      point.shards = shards;
+      point.transport = transport;
+      point.run = RunDiscoveryWithOptions(enc, options);
+      if (shards == 0) {
+        baseline = point.run.seconds;
+        baseline_ocs = point.run.ocs;
+        baseline_ofds = point.run.ofds;
       }
+      const bool deterministic = point.run.ocs == baseline_ocs &&
+                                 point.run.ofds == baseline_ofds &&
+                                 point.run.full.shard_status.ok();
+      char label[28];
+      if (shards == 0) {
+        std::snprintf(label, sizeof(label), "unsharded");
+      } else {
+        std::snprintf(label, sizeof(label), "%d/%s", shards,
+                      ShardTransportToString(transport));
+      }
+      std::printf(
+          "%16s %12.3f %8.2fx %8lld %8lld %11.2f %12.3f%s\n", label,
+          point.run.seconds,
+          point.run.seconds > 0 ? baseline / point.run.seconds : 0.0,
+          static_cast<long long>(point.run.ocs),
+          static_cast<long long>(point.run.ofds),
+          static_cast<double>(point.run.full.stats.shard_bytes_wire) /
+              (1 << 20),
+          point.run.full.stats.merge_wall_seconds,
+          deterministic ? "" : "  <-- DETERMINISM VIOLATION");
+      series.points.push_back(std::move(point));
     }
   }
   return series;
@@ -153,24 +133,19 @@ int WriteJson(const char* path, const std::vector<DatasetSeries>& all,
       std::fprintf(
           f,
           "      {\"shards\": %d, \"transport\": \"%s\", "
-          "\"compression\": %s, \"seconds\": %.6f, \"ocs\": %lld, "
-          "\"ofds\": %lld, \"bytes_shipped\": %lld, "
-          "\"bytes_raw\": %lld, \"bytes_wire\": %lld, "
-          "\"merge_wall_seconds\": %.6f, \"frame_bytes\": [",
-          p.shards, ShardTransportToString(p.transport),
-          p.compression ? "true" : "false", p.run.seconds,
+          "\"seconds\": %.6f, \"ocs\": %lld, \"ofds\": %lld, "
+          "\"bytes_wire\": %lld, \"merge_wall_seconds\": %.6f, "
+          "\"frame_bytes\": [",
+          p.shards, ShardTransportToString(p.transport), p.run.seconds,
           static_cast<long long>(p.run.ocs),
           static_cast<long long>(p.run.ofds),
-          static_cast<long long>(p.bytes_shipped),
-          static_cast<long long>(p.bytes_raw),
-          static_cast<long long>(p.bytes_wire),
+          static_cast<long long>(p.run.full.stats.shard_bytes_wire),
           p.run.full.stats.merge_wall_seconds);
       const auto& frame_bytes = p.run.full.stats.shard_frame_bytes;
       for (size_t j = 0; j < frame_bytes.size(); ++j) {
-        std::fprintf(f, "{\"type\": \"%s\", \"raw\": %lld, \"wire\": %lld}%s",
+        std::fprintf(f, "{\"type\": \"%s\", \"bytes\": %lld}%s",
                      frame_bytes[j].frame_type.c_str(),
-                     static_cast<long long>(frame_bytes[j].bytes_raw),
-                     static_cast<long long>(frame_bytes[j].bytes_wire),
+                     static_cast<long long>(frame_bytes[j].bytes),
                      j + 1 < frame_bytes.size() ? ", " : "");
       }
       std::fprintf(f, "]}%s\n", i + 1 < series.points.size() ? "," : "");
@@ -197,11 +172,8 @@ int main(int argc, char** argv) {
   PrintNote("all shard counts run on one shared pool; counts must match the"
             " unsharded baseline at every shard count and transport"
             " (determinism contract). wire(MiB) is total frame bytes both"
-            " directions after the delta/varint codecs, raw(MiB) the same"
-            " traffic with every codec forced raw (ratio = raw/wire); the"
-            " *-raw rows at 4 shards actually ship raw frames. The"
-            " inproc-vs-socket gap is the byte-stream cost of going"
-            " off-box.");
+            " directions. The inproc-vs-socket gap is the byte-stream cost"
+            " of going off-box.");
 
   aod::exec::ThreadPool pool(threads);
   std::vector<DatasetSeries> all;

@@ -1,19 +1,18 @@
-// Micro-benchmark of the shard wire codecs (src/shard/wire.{h,cc}).
+// Micro-benchmark of the shard wire encoders and decoders
+// (src/shard/wire.{h,cc}).
 //
-// For each codec-bearing frame type — partition CSR blocks, candidate
-// batches, result batches, and the rank-encoded table block — this
-// harness measures encode and decode throughput (MiB/s of *raw* payload
-// processed, so raw and compressed rows are directly comparable) and
-// the compression ratio (raw frame bytes / wire frame bytes). Shapes
-// mirror what actually crosses the seam in exp8: low-cardinality base
-// partitions with long ascending runs (the canonical normal form the
-// delta/varint codec exploits), derived partitions with more classes,
-// per-level candidate batches with near-sequential slots, and result
-// chunks with and without removal rows.
+// For each bulky frame type — partition CSR blocks, candidate batches,
+// result batches, and the rank-encoded table block — this harness
+// measures encode and decode throughput in MiB/s of frame bytes. Every
+// frame ships in its one fixed-width layout. Shapes mirror what
+// actually crosses the seam in exp8: low-cardinality base partitions,
+// derived partitions with more classes, per-level candidate batches,
+// and result chunks with and without removal rows.
 //
 // With --json <path> the series is written as machine-readable JSON (CI
 // uploads it as BENCH_micro_wire.json).
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,27 +28,17 @@ namespace aod {
 namespace bench {
 namespace {
 
-using shard::CodecByteCounts;
 using shard::DecodedFrame;
 using shard::WireCandidate;
 using shard::WireOutcome;
 
-struct CodecRow {
+struct WireRow {
   std::string frame_type;   // "partition", "candidate", ...
   std::string shape;        // which workload variant
-  bool compression = true;
-  int64_t raw_bytes = 0;    // one frame, all-raw baseline (header incl.)
-  int64_t wire_bytes = 0;   // one frame as shipped
+  int64_t bytes = 0;        // one frame, header included
   double encode_mib_s = 0.0;
   double decode_mib_s = 0.0;
 };
-
-double Ratio(const CodecRow& r) {
-  return r.wire_bytes > 0
-             ? static_cast<double>(r.raw_bytes) /
-                   static_cast<double>(r.wire_bytes)
-             : 0.0;
-}
 
 /// Repeats `fn` until ~80ms of wall clock accumulates and returns the
 /// per-iteration seconds — enough samples to flatten scheduler noise
@@ -65,122 +54,63 @@ double TimePerIteration(const Fn& fn) {
   return sw.ElapsedSeconds() / iters;
 }
 
-/// Throughput in MiB/s of raw payload moved per second.
-double MibPerSecond(int64_t raw_bytes, double seconds_per_iter) {
+/// Throughput in MiB/s of frame bytes moved per second.
+double MibPerSecond(int64_t bytes, double seconds_per_iter) {
   if (seconds_per_iter <= 0.0) return 0.0;
-  return static_cast<double>(raw_bytes) / (1 << 20) / seconds_per_iter;
+  return static_cast<double>(bytes) / (1 << 20) / seconds_per_iter;
 }
 
-CodecRow MeasurePartition(const std::string& shape,
-                          const StrippedPartition& p, int64_t rows,
-                          bool compression) {
-  CodecRow row;
-  row.frame_type = "partition";
+/// Times `encode` and `decode` (which must succeed on the frame that
+/// `encode` produced) for one frame type and shape.
+WireRow Measure(const std::string& frame_type, const std::string& shape,
+                const std::function<std::vector<uint8_t>()>& encode,
+                const std::function<bool(const DecodedFrame&)>& decode) {
+  WireRow row;
+  row.frame_type = frame_type;
   row.shape = shape;
-  row.compression = compression;
+  const std::vector<uint8_t> frame = encode();
+  row.bytes = static_cast<int64_t>(frame.size());
+  row.encode_mib_s = MibPerSecond(row.bytes, TimePerIteration([&] {
+                                    volatile size_t sink = encode().size();
+                                    (void)sink;
+                                  }));
+  Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
+  AOD_CHECK(decoded.ok());
+  row.decode_mib_s = MibPerSecond(
+      row.bytes, TimePerIteration([&] { AOD_CHECK(decode(*decoded)); }));
+  return row;
+}
+
+WireRow MeasurePartition(const std::string& shape, const StrippedPartition& p,
+                         int64_t rows) {
   const AttributeSet set = AttributeSet::Of({0});
-  CodecByteCounts counts;
-  std::vector<uint8_t> frame =
-      shard::EncodePartitionBlock(set, p, compression, &counts);
-  row.raw_bytes = counts.raw;
-  row.wire_bytes = counts.wire;
-  row.encode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        volatile size_t sink =
-            shard::EncodePartitionBlock(set, p, compression).size();
-        (void)sink;
-      }));
-  Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
-  AOD_CHECK(decoded.ok());
-  row.decode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        auto back = shard::DecodePartitionBlock(*decoded, rows);
-        AOD_CHECK(back.ok());
-      }));
-  return row;
+  return Measure(
+      "partition", shape, [&] { return shard::EncodePartitionBlock(set, p); },
+      [&](const DecodedFrame& f) {
+        return shard::DecodePartitionBlock(f, rows).ok();
+      });
 }
 
-CodecRow MeasureCandidates(const std::string& shape,
-                           const std::vector<WireCandidate>& batch,
-                           bool compression) {
-  CodecRow row;
-  row.frame_type = "candidate";
-  row.shape = shape;
-  row.compression = compression;
-  CodecByteCounts counts;
-  std::vector<uint8_t> frame =
-      shard::EncodeCandidateBatch(batch, compression, &counts);
-  row.raw_bytes = counts.raw;
-  row.wire_bytes = counts.wire;
-  row.encode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        volatile size_t sink =
-            shard::EncodeCandidateBatch(batch, compression).size();
-        (void)sink;
-      }));
-  Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
-  AOD_CHECK(decoded.ok());
-  row.decode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        auto back = shard::DecodeCandidateBatch(*decoded);
-        AOD_CHECK(back.ok());
-      }));
-  return row;
+WireRow MeasureCandidates(const std::string& shape,
+                          const std::vector<WireCandidate>& batch) {
+  return Measure(
+      "candidate", shape, [&] { return shard::EncodeCandidateBatch(batch); },
+      [](const DecodedFrame& f) {
+        return shard::DecodeCandidateBatch(f).ok();
+      });
 }
 
-CodecRow MeasureResults(const std::string& shape,
-                        const std::vector<WireOutcome>& outcomes,
-                        bool compression) {
-  CodecRow row;
-  row.frame_type = "result";
-  row.shape = shape;
-  row.compression = compression;
-  CodecByteCounts counts;
-  std::vector<uint8_t> frame =
-      shard::EncodeResultBatch(outcomes, true, compression, &counts);
-  row.raw_bytes = counts.raw;
-  row.wire_bytes = counts.wire;
-  row.encode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        volatile size_t sink =
-            shard::EncodeResultBatch(outcomes, true, compression).size();
-        (void)sink;
-      }));
-  Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
-  AOD_CHECK(decoded.ok());
-  row.decode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        auto back = shard::DecodeResultBatch(*decoded);
-        AOD_CHECK(back.ok());
-      }));
-  return row;
+WireRow MeasureResults(const std::string& shape,
+                       const std::vector<WireOutcome>& outcomes) {
+  return Measure(
+      "result", shape, [&] { return shard::EncodeResultBatch(outcomes); },
+      [](const DecodedFrame& f) { return shard::DecodeResultBatch(f).ok(); });
 }
 
-CodecRow MeasureTable(const std::string& shape, const EncodedTable& table,
-                      bool compression) {
-  CodecRow row;
-  row.frame_type = "table";
-  row.shape = shape;
-  row.compression = compression;
-  CodecByteCounts counts;
-  std::vector<uint8_t> frame =
-      shard::EncodeTableBlock(table, compression, &counts);
-  row.raw_bytes = counts.raw;
-  row.wire_bytes = counts.wire;
-  row.encode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        volatile size_t sink =
-            shard::EncodeTableBlock(table, compression).size();
-        (void)sink;
-      }));
-  Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
-  AOD_CHECK(decoded.ok());
-  row.decode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        auto back = shard::DecodeTableBlock(*decoded);
-        AOD_CHECK(back.ok());
-      }));
-  return row;
+WireRow MeasureTable(const std::string& shape, const EncodedTable& table) {
+  return Measure(
+      "table", shape, [&] { return shard::EncodeTableBlock(table); },
+      [](const DecodedFrame& f) { return shard::DecodeTableBlock(f).ok(); });
 }
 
 EncodedTable RandomEncodedTable(int64_t rows, int cols, int64_t cardinality,
@@ -245,7 +175,7 @@ std::vector<WireOutcome> MakeOutcomes(int64_t n, bool removal_rows) {
   return out;
 }
 
-int WriteJson(const char* path, const std::vector<CodecRow>& rows) {
+int WriteJson(const char* path, const std::vector<WireRow>& rows) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);
@@ -254,18 +184,14 @@ int WriteJson(const char* path, const std::vector<CodecRow>& rows) {
   std::fprintf(f, "{\n  \"bench\": \"micro_wire\",\n");
   std::fprintf(f, "  \"scale\": %.4f,\n  \"rows\": [\n", Scale());
   for (size_t i = 0; i < rows.size(); ++i) {
-    const CodecRow& r = rows[i];
+    const WireRow& r = rows[i];
     std::fprintf(f,
                  "    {\"frame_type\": \"%s\", \"shape\": \"%s\", "
-                 "\"compression\": %s, \"raw_bytes\": %lld, "
-                 "\"wire_bytes\": %lld, \"ratio\": %.4f, "
-                 "\"encode_mib_s\": %.2f, \"decode_mib_s\": %.2f}%s\n",
+                 "\"bytes\": %lld, \"encode_mib_s\": %.2f, "
+                 "\"decode_mib_s\": %.2f}%s\n",
                  r.frame_type.c_str(), r.shape.c_str(),
-                 r.compression ? "true" : "false",
-                 static_cast<long long>(r.raw_bytes),
-                 static_cast<long long>(r.wire_bytes), Ratio(r),
-                 r.encode_mib_s, r.decode_mib_s,
-                 i + 1 < rows.size() ? "," : "");
+                 static_cast<long long>(r.bytes), r.encode_mib_s,
+                 r.decode_mib_s, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -284,7 +210,7 @@ int main(int argc, char** argv) {
   using aod::StrippedPartition;
 
   const char* json_path = JsonPathArg(argc, argv);
-  PrintHeaderLine("micro_wire: shard codec throughput + compression ratio");
+  PrintHeaderLine("micro_wire: shard wire encode/decode throughput");
   const int64_t rows = ScaledRows(100000);
   std::printf("scale=%.2f (%lld-row shapes)\n", Scale(),
               static_cast<long long>(rows));
@@ -303,31 +229,20 @@ int main(int argc, char** argv) {
                    &scratch);
   EncodedTable wide_table = RandomEncodedTable(rows / 10 + 1, 10, 300, 99);
 
-  std::vector<CodecRow> all;
-  for (bool compression : {true, false}) {
-    all.push_back(MeasurePartition("base_card16", base, rows, compression));
-    all.push_back(
-        MeasurePartition("derived_product", derived, rows, compression));
-    all.push_back(
-        MeasureCandidates("level_batch_2k", MakeCandidates(2000),
-                          compression));
-    all.push_back(MeasureResults("chunk_512", MakeOutcomes(512, false),
-                                 compression));
-    all.push_back(MeasureResults("chunk_512_removal",
-                                 MakeOutcomes(512, true), compression));
-    all.push_back(MeasureTable("table_10col_card300", wide_table,
-                               compression));
-  }
+  const std::vector<WireRow> all = {
+      MeasurePartition("base_card16", base, rows),
+      MeasurePartition("derived_product", derived, rows),
+      MeasureCandidates("level_batch_2k", MakeCandidates(2000)),
+      MeasureResults("chunk_512", MakeOutcomes(512, false)),
+      MeasureResults("chunk_512_removal", MakeOutcomes(512, true)),
+      MeasureTable("table_10col_card300", wide_table),
+  };
 
-  std::printf("%10s %20s %6s %12s %12s %7s %12s %12s\n", "frame", "shape",
-              "codec", "raw(KiB)", "wire(KiB)", "ratio", "enc MiB/s",
-              "dec MiB/s");
-  for (const CodecRow& r : all) {
-    std::printf("%10s %20s %6s %12.1f %12.1f %6.2fx %12.1f %12.1f\n",
-                r.frame_type.c_str(), r.shape.c_str(),
-                r.compression ? "delta" : "raw",
-                static_cast<double>(r.raw_bytes) / 1024,
-                static_cast<double>(r.wire_bytes) / 1024, Ratio(r),
+  std::printf("%10s %20s %12s %12s %12s\n", "frame", "shape", "KiB",
+              "enc MiB/s", "dec MiB/s");
+  for (const WireRow& r : all) {
+    std::printf("%10s %20s %12.1f %12.1f %12.1f\n", r.frame_type.c_str(),
+                r.shape.c_str(), static_cast<double>(r.bytes) / 1024,
                 r.encode_mib_s, r.decode_mib_s);
   }
 

@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n%s", result.stats.ToString().c_str());
   if (args.shards > 0) {
-    // Next to the codec summary above: what the supervisor absorbed —
+    // Next to the shard summary above: what the supervisor absorbed —
     // all zeros on a healthy run.
     std::printf(
         "shard supervision: %lld retries, %lld respawns, %lld fallback "

@@ -1,7 +1,7 @@
 // Little-endian fixed-width byte primitives.
 //
 // Shared by every serializer in the tree — the partition CSR encoding
-// (partition/stripped_partition.cc) and the shard wire codec
+// (partition/stripped_partition.cc) and the shard wire format
 // (shard/wire.cc) — so the two byte formats cannot drift apart by each
 // hand-rolling its own integer packing. Append* grows a byte vector,
 // Store*/Load* work on raw pointers the caller has bounds-checked, and

@@ -202,7 +202,6 @@ struct Driver {
       ropts.sampler_config = options.sampler_config;
       ropts.partition_memory_budget_bytes =
           options.partition_memory_budget_bytes;
-      ropts.wire_compression = options.shard_wire_compression;
       shard::ShardTransportOptions topts;
       topts.transport = options.shard_transport;
       topts.runner_path = options.shard_runner_path;
@@ -883,19 +882,15 @@ struct Driver {
       result.stats.partition_bytes_peak = std::max(
           result.stats.partition_bytes_peak, totals.partition_bytes_peak);
       result.stats.partition_bytes_final = totals.partition_bytes_final;
-      result.stats.shard_bytes_shipped = coordinator->bytes_shipped_total();
+      result.stats.shard_bytes_wire = coordinator->bytes_shipped_total();
+      // Every frame ships raw, so the raw volume is the wire volume.
+      result.stats.shard_bytes_raw = result.stats.shard_bytes_wire;
       result.stats.shard_bytes_per_shard.resize(
           static_cast<size_t>(coordinator->num_shards()));
       for (int s = 0; s < coordinator->num_shards(); ++s) {
         result.stats.shard_bytes_per_shard[static_cast<size_t>(s)] =
             coordinator->bytes_shipped(s);
       }
-      // Codec accounting: what crossed the wire vs. what the same run
-      // would have shipped all-raw (footer-folded decode counts plus the
-      // coordinator's own encode/decode sites). bytes_raw_total() needs
-      // the footers, so this must come after Finish().
-      result.stats.shard_bytes_wire = coordinator->bytes_shipped_total();
-      result.stats.shard_bytes_raw = coordinator->bytes_raw_total();
       const std::pair<shard::FrameType, const char*> kTypeNames[] = {
           {shard::FrameType::kPartitionBlock, "partition"},
           {shard::FrameType::kCandidateBatch, "candidate"},
@@ -903,11 +898,9 @@ struct Driver {
           {shard::FrameType::kTableBlock, "table"},
       };
       for (const auto& [type, name] : kTypeNames) {
-        const shard::CodecByteCounts counts =
-            coordinator->type_byte_counts(type);
-        if (counts.raw == 0 && counts.wire == 0) continue;
-        result.stats.shard_frame_bytes.push_back(
-            {name, counts.raw, counts.wire});
+        const int64_t bytes = coordinator->frame_bytes(type);
+        if (bytes == 0) continue;
+        result.stats.shard_frame_bytes.push_back({name, bytes});
       }
       // Supervision observability: every recovery the run survived.
       result.stats.shard_retries = coordinator->shard_retries();

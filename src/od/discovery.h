@@ -105,8 +105,8 @@ struct DiscoveryOptions {
   /// (0 = keep everything, in merge order). When set, the result list is
   /// sorted by the deterministic interestingness ranking (score desc,
   /// then level, kind, attributes) and truncated — identical for any
-  /// thread count, shard count, transport and compression setting. Stats
-  /// still count every discovered dependency.
+  /// thread count, shard count and transport. Stats still count every
+  /// discovered dependency.
   int64_t top_k = 0;
   ValidatorKind validator = ValidatorKind::kOptimal;
   /// Stop after this lattice level (0 = traverse to the top).
@@ -221,12 +221,6 @@ struct DiscoveryOptions {
   /// Base backoff before a shard's first re-attempt; doubles per
   /// attempt with deterministic jitter, capped at 2s.
   double shard_retry_backoff_ms = 25.0;
-  /// Encode shard frames with the delta/varint codecs (wire.h). Output
-  /// is bit-identical with compression on or off — the codecs are
-  /// lossless and decode-side validation is shared — so this is purely
-  /// a bytes-vs-CPU knob; DiscoveryStats reports both shard_bytes_raw
-  /// and shard_bytes_wire so the ratio is observable per run.
-  bool shard_wire_compression = true;
   /// Test seam: wraps every coordinator-side shard channel (e.g. in the
   /// fault-injecting FlakyChannel decorator). Identity when empty.
   std::function<std::unique_ptr<shard::ShardChannel>(

@@ -119,23 +119,9 @@ std::string DiscoveryStats::ToString() const {
               ? "  shards:         " + std::to_string(shards_used) +
                     " shard runners, " +
                     FormatDouble(
-                        static_cast<double>(shard_bytes_shipped) / (1 << 20),
+                        static_cast<double>(shard_bytes_wire) / (1 << 20),
                         2) +
-                    " MiB shipped over the wire\n" +
-                    "  shard codecs:   " +
-                    FormatDouble(
-                        static_cast<double>(shard_bytes_wire) / (1 << 20), 2) +
-                    " MiB wire / " +
-                    FormatDouble(
-                        static_cast<double>(shard_bytes_raw) / (1 << 20), 2) +
-                    " MiB raw (ratio " +
-                    FormatDouble(shard_bytes_wire > 0
-                                     ? static_cast<double>(shard_bytes_raw) /
-                                           static_cast<double>(
-                                               shard_bytes_wire)
-                                     : 0.0,
-                                 2) +
-                    "x)\n"
+                    " MiB shipped over the wire\n"
               : "")
       << (shard_retries + shard_respawns + shard_fallback_shards +
                       shard_footers_missing >

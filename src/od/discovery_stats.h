@@ -47,21 +47,18 @@ struct DiscoveryStats {
   int shards_used = 0;
   /// Frame bytes crossing the shard seam, total and per shard (both
   /// directions: shipped base partitions, candidate batches, results).
-  int64_t shard_bytes_shipped = 0;
-  std::vector<int64_t> shard_bytes_per_shard;
-  /// The same traffic split by codec outcome: what actually crossed the
-  /// wire (post-compression; equals shard_bytes_shipped) vs. what the
-  /// identical run would have shipped with every codec forced raw —
-  /// raw/wire is the run's observable compression ratio. Folded from
-  /// the shard stats footers plus the coordinator's own result decodes.
-  int64_t shard_bytes_raw = 0;
   int64_t shard_bytes_wire = 0;
-  /// Frame-level raw/wire bytes by frame type, counted at the
-  /// coordinator's encode/decode sites (exp8's per-type breakdown).
+  std::vector<int64_t> shard_bytes_per_shard;
+  /// Kept only because perfbench/src/workloads.cc reads it: the
+  /// discovery driver (and the result-blob decoder) set it equal to
+  /// shard_bytes_wire, since every frame ships raw. No library code
+  /// reads it.
+  int64_t shard_bytes_raw = 0;
+  /// Frame bytes by frame type, counted at the coordinator's
+  /// encode/decode sites (exp8's per-type breakdown).
   struct FrameTypeBytes {
     std::string frame_type;
-    int64_t bytes_raw = 0;
-    int64_t bytes_wire = 0;
+    int64_t bytes = 0;
   };
   std::vector<FrameTypeBytes> shard_frame_bytes;
   /// Supervision counters (src/shard/supervisor.h): the recoveries the

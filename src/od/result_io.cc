@@ -212,7 +212,10 @@ namespace {
 /// the FD/AFD counter block.
 /// Version 3: DiscoveryStats dropped the two straggler backup-attempt
 /// win/loss counters that followed shard_respawns.
-constexpr uint16_t kResultBlobVersion = 3;
+/// Version 4: DiscoveryStats carries one shard byte total
+/// (shard_bytes_wire; the shipped and raw totals are gone) and one byte
+/// count per frame type.
+constexpr uint16_t kResultBlobVersion = 4;
 
 void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   w.PutDouble(s.total_seconds);
@@ -227,16 +230,13 @@ void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   w.PutDouble(s.merge_wall_seconds);
   w.PutVarintI64(s.threads_used);
   w.PutVarintI64(s.shards_used);
-  w.PutVarintI64(s.shard_bytes_shipped);
+  w.PutVarintI64(s.shard_bytes_wire);
   w.PutVarint(s.shard_bytes_per_shard.size());
   for (int64_t b : s.shard_bytes_per_shard) w.PutVarintI64(b);
-  w.PutVarintI64(s.shard_bytes_raw);
-  w.PutVarintI64(s.shard_bytes_wire);
   w.PutVarint(s.shard_frame_bytes.size());
   for (const auto& fb : s.shard_frame_bytes) {
     w.PutString(fb.frame_type);
-    w.PutVarintI64(fb.bytes_raw);
-    w.PutVarintI64(fb.bytes_wire);
+    w.PutVarintI64(fb.bytes);
   }
   w.PutVarintI64(s.shard_retries);
   w.PutVarintI64(s.shard_respawns);
@@ -304,10 +304,10 @@ Status GetStats(shard::WireReader& r, DiscoveryStats* s) {
   s->threads_used = static_cast<int>(v);
   AOD_RETURN_NOT_OK(r.GetVarintI64(&v));
   s->shards_used = static_cast<int>(v);
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_bytes_shipped));
-  AOD_RETURN_NOT_OK(GetI64Vector(r, &s->shard_bytes_per_shard));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_bytes_raw));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_bytes_wire));
+  // Mirrors the discovery driver: every frame ships raw.
+  s->shard_bytes_raw = s->shard_bytes_wire;
+  AOD_RETURN_NOT_OK(GetI64Vector(r, &s->shard_bytes_per_shard));
   uint64_t frame_count = 0;
   AOD_RETURN_NOT_OK(r.GetVarint(&frame_count));
   if (frame_count > r.remaining()) {
@@ -318,8 +318,7 @@ Status GetStats(shard::WireReader& r, DiscoveryStats* s) {
   for (uint64_t i = 0; i < frame_count; ++i) {
     DiscoveryStats::FrameTypeBytes fb;
     AOD_RETURN_NOT_OK(r.GetString(&fb.frame_type));
-    AOD_RETURN_NOT_OK(r.GetVarintI64(&fb.bytes_raw));
-    AOD_RETURN_NOT_OK(r.GetVarintI64(&fb.bytes_wire));
+    AOD_RETURN_NOT_OK(r.GetVarintI64(&fb.bytes));
     s->shard_frame_bytes.push_back(std::move(fb));
   }
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_retries));

@@ -94,7 +94,7 @@ DiscoveryOptions ToDiscoveryOptions(const WireJobOptions& wire);
 
 /// One job submission. The table travels as a complete sealed
 /// kTableBlock frame (shard::EncodeTableBlock) nested in the payload —
-/// reusing the shard codec means the ranks arrive validated against
+/// reusing the shard decoder means the ranks arrive validated against
 /// their declared cardinalities, exactly as on the shard seam.
 struct WireJobSubmit {
   /// Client-chosen token echoed in the ack/rejection, so a client with

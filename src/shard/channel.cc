@@ -211,7 +211,21 @@ SocketShardChannel::SocketShardChannel(int read_fd, int write_fd,
 
 SocketShardChannel::~SocketShardChannel() {
   Close();
-  if (writer_.joinable()) writer_.join();  // publishes write_fd_closed_
+  {
+    const double timeout = options_.receive_timeout_seconds;
+    const auto stall = std::chrono::duration<double>(
+        timeout > 0.0 ? std::min(timeout, kMaxDrainStallSeconds)
+                      : kMaxDrainStallSeconds);
+    std::unique_lock<std::mutex> lock(mutex_);
+    int64_t seen = -1;
+    while (!writer_done_ && bytes_written_ != seen) {
+      seen = bytes_written_;
+      writer_done_cv_.wait_for(lock, stall, [this] { return writer_done_; });
+    }
+    // A whole stall bound without progress: the peer stopped reading.
+    if (!writer_done_ && is_socket_) ::shutdown(write_fd_, SHUT_RDWR);
+  }
+  writer_.join();  // publishes write_fd_closed_
   ::close(read_fd_);
   if (write_fd_ != read_fd_ && !write_fd_closed_) ::close(write_fd_);
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
@@ -219,6 +233,15 @@ SocketShardChannel::~SocketShardChannel() {
 }
 
 void SocketShardChannel::WriterLoop() {
+  Drain();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    writer_done_ = true;
+  }
+  writer_done_cv_.notify_all();
+}
+
+void SocketShardChannel::Drain() {
   for (;;) {
     std::vector<uint8_t> frame;
     {
@@ -247,6 +270,8 @@ void SocketShardChannel::WriterLoop() {
         return;
       }
       sent += static_cast<size_t>(n);
+      std::lock_guard<std::mutex> lock(mutex_);
+      bytes_written_ += n;
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);

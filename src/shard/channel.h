@@ -183,6 +183,14 @@ class InProcessChannel final : public ShardChannel {
 /// in-process runner sharing one thread can exchange arbitrarily large
 /// frames without deadlocking on kernel socket buffers. A write error
 /// is latched and surfaced by the next Send.
+///
+/// The destructor lets the writer drain its queue while the peer keeps
+/// reading. Once no byte has been written for the receive timeout
+/// (capped at kMaxDrainStallSeconds, which also applies when the
+/// timeout is 0), a socket is shut down in both directions, which fails
+/// the blocked write, so tearing down a link whose peer stopped reading
+/// is bounded. A pipe has no shutdown: its writer drains unbounded (the
+/// pipe mode is a runner child process, which its coordinator reaps).
 class SocketShardChannel final : public ShardChannel {
  public:
   /// Connects to host:port (blocking, bounded by timeout_seconds).
@@ -198,6 +206,8 @@ class SocketShardChannel final : public ShardChannel {
   /// process, or the ends of two pipes); takes ownership of both.
   static std::unique_ptr<SocketShardChannel> AdoptPair(
       int read_fd, int write_fd, ChannelOptions options = {});
+
+  static constexpr double kMaxDrainStallSeconds = 10.0;
 
   ~SocketShardChannel() override;
   AOD_DISALLOW_COPY_AND_ASSIGN(SocketShardChannel);
@@ -220,7 +230,11 @@ class SocketShardChannel final : public ShardChannel {
   SocketShardChannel(int read_fd, int write_fd, bool is_socket,
                      ChannelOptions options);
 
+  /// Runs Drain, then flags writer_done_ for the destructor.
   void WriterLoop();
+  /// Writes queued frames until closed-and-drained (then signals EOF to
+  /// the peer) or a write fails.
+  void Drain();
   /// Reads exactly `size` bytes with poll-bounded waits. `*got` is the
   /// byte count actually read when the stream ended early. Returns
   /// kClosed when Close() is called on *this* endpoint mid-wait (the
@@ -251,6 +265,12 @@ class SocketShardChannel final : public ShardChannel {
   /// Enqueued-but-unwritten bytes, including a frame mid-write; zeroed
   /// when a write error abandons the queue.
   int64_t backlog_bytes_ = 0;
+  /// Bytes the writer has handed to the fd; the destructor's progress
+  /// signal while it waits for the drain.
+  int64_t bytes_written_ = 0;
+  /// Set by WriterLoop on exit (drained or failed), with writer_done_cv_.
+  bool writer_done_ = false;
+  std::condition_variable writer_done_cv_;
   std::thread writer_;
 };
 

@@ -36,7 +36,6 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Create(
 
 Status ShardCoordinator::Init(int num_shards,
                               const ShardRunnerOptions& runner_options) {
-  const bool compress = runner_options.wire_compression;
   // Everything a fresh attempt needs, encoded — and checksummed — once:
   // the same bytes bootstrap the first attempt, every respawn and every
   // in-process fallback, so re-seeding costs sends, not re-encodes.
@@ -45,8 +44,7 @@ Status ShardCoordinator::Init(int num_shards,
   bootstrap_.num_shards = num_shards;
   bootstrap_.pool_workers = pool_ != nullptr ? pool_->num_workers() : 1;
   if (transport_.transport == ShardTransport::kProcess) {
-    bootstrap_.table_frame =
-        EncodeTableBlock(*table_, compress, &bootstrap_.table_counts);
+    bootstrap_.table_frame = EncodeTableBlock(*table_);
   }
   // One kPartitionBlock per base (level-1) partition, shipped to every
   // shard as a single kBatch envelope — one syscall per seeding instead
@@ -59,8 +57,9 @@ Status ShardCoordinator::Init(int num_shards,
   for (int a = 0; a < k; ++a) {
     base_frames.push_back(EncodePartitionBlock(
         AttributeSet().With(a),
-        StrippedPartition::FromColumn(table_->column(a)), compress,
-        &bootstrap_.base_counts));
+        StrippedPartition::FromColumn(table_->column(a))));
+    bootstrap_.base_frame_bytes +=
+        static_cast<int64_t>(base_frames.back().size());
   }
   bootstrap_.base_frames = k;
   if (k == 1) {
@@ -90,20 +89,6 @@ ShardCoordinator::~ShardCoordinator() {
 int ShardCoordinator::ShardOf(uint64_t context_bits, int num_shards) {
   return static_cast<int>(AttributeSetHash{}(AttributeSet(context_bits)) %
                           static_cast<size_t>(num_shards));
-}
-
-Status ShardCoordinator::ValidateBatch(
-    const std::vector<WireCandidate>& candidates,
-    const std::function<bool()>& cancel,
-    std::vector<WireOutcome>* completed) {
-  // Staged locally so a failure never leaves a partial batch in
-  // `completed` — the no-partial-batch contract of this overload.
-  std::vector<WireOutcome> collected;
-  AOD_RETURN_NOT_OK(ValidateBatch(
-      candidates, cancel,
-      [&collected](WireOutcome o) { collected.push_back(std::move(o)); }));
-  for (WireOutcome& o : collected) completed->push_back(std::move(o));
-  return Status::OK();
 }
 
 Status ShardCoordinator::ValidateBatch(
@@ -268,25 +253,9 @@ int64_t ShardCoordinator::bytes_shipped_total() const {
   return total;
 }
 
-int64_t ShardCoordinator::bytes_raw_total() const {
-  // Start from the observed wire volume and add back what each decode
-  // site reported saving: shard footers cover the coordinator→shard
-  // frames (partitions, candidates, table), the coordinator's own
-  // result-chunk decodes cover the reply direction.
-  const ShardStatsFooter footers = FooterTotals();
-  int64_t total = bytes_shipped_total() + footers.bytes_decoded_raw -
-                  footers.bytes_decoded_wire;
-  const CodecByteCounts results =
-      type_byte_counts(FrameType::kResultBatch);
-  total += results.raw - results.wire;
-  return total;
-}
-
-CodecByteCounts ShardCoordinator::type_byte_counts(FrameType type) const {
-  CodecByteCounts total;
-  for (const auto& sup : supervisors_) {
-    total.Add(sup->type_byte_counts(type));
-  }
+int64_t ShardCoordinator::frame_bytes(FrameType type) const {
+  int64_t total = 0;
+  for (const auto& sup : supervisors_) total += sup->frame_bytes(type);
   return total;
 }
 
@@ -304,8 +273,6 @@ ShardStatsFooter ShardCoordinator::FooterTotals() const {
     total.partition_bytes_evicted += f.partition_bytes_evicted;
     total.partition_bytes_final += f.partition_bytes_final;
     total.partition_bytes_peak += f.partition_bytes_peak;
-    total.bytes_decoded_raw += f.bytes_decoded_raw;
-    total.bytes_decoded_wire += f.bytes_decoded_wire;
     total.partition_seconds += f.partition_seconds;
   }
   return total;

@@ -134,24 +134,17 @@ class ShardCoordinator {
   static int ShardOf(uint64_t context_bits, int num_shards);
 
   /// Validates one level's candidates across the shards: splits
-  /// `candidates` by ShardOf, runs every shard's ship/validate/receive
+  /// `candidates` by ShardOf and runs every shard's ship/validate/receive
   /// round as one supervised task (concurrent across shards on the
-  /// pool), and appends each shard's completed outcomes to `completed`
-  /// in shard order — only once every shard's reply decoded cleanly, so
-  /// a failure never leaves a partial batch behind. Candidates a shard
-  /// did not finish before cancellation are simply absent — the
-  /// driver's merge treats their slots as undone.
-  Status ValidateBatch(const std::vector<WireCandidate>& candidates,
-                       const std::function<bool()>& cancel,
-                       std::vector<WireOutcome>* completed);
-
-  /// The fold form: `fold` is invoked per outcome — shard order
-  /// outside, ascending slots within a shard — after every shard's
-  /// level completed. Replies are buffered per shard while in flight
-  /// (chunk decode overlaps across shards on the pool); buffering is
-  /// what lets a retried level fold only the successful attempt's
-  /// outcomes, keeping the merge bit-identical under any fault
-  /// schedule. Nothing is folded on a non-OK return.
+  /// pool). `fold` is then invoked per outcome — shard order outside,
+  /// ascending slots within a shard — after every shard's level
+  /// completed. Replies are buffered per shard while in flight (chunk
+  /// decode overlaps across shards on the pool); buffering is what lets
+  /// a retried level fold only the successful attempt's outcomes,
+  /// keeping the merge bit-identical under any fault schedule. Nothing
+  /// is folded on a non-OK return. Candidates a shard did not finish
+  /// before cancellation are simply absent — the driver's merge treats
+  /// their slots as undone.
   Status ValidateBatch(const std::vector<WireCandidate>& candidates,
                        const std::function<bool()>& cancel,
                        const std::function<void(WireOutcome)>& fold);
@@ -172,23 +165,14 @@ class ShardCoordinator {
 
   /// Frame bytes shipped to and from shard `s` so far (both directions,
   /// as observed from the coordinator side, summed over every attempt
-  /// ever made for the shard). This is the post-compression ("wire")
-  /// volume.
+  /// ever made for the shard).
   int64_t bytes_shipped(int s) const;
   int64_t bytes_shipped_total() const;
 
-  /// What bytes_shipped_total would have been with every codec forced
-  /// raw: the wire total plus the raw-minus-wire savings each decode
-  /// site reported (shard footers for coordinator→shard frames, the
-  /// coordinator's own result-chunk decodes for the reply direction).
-  /// Meaningful once Finish collected the footers.
-  int64_t bytes_raw_total() const;
-
-  /// Frame-level raw/wire byte counts per frame type (indexed by the
-  /// FrameType raw value), counted at the coordinator's encode/decode
-  /// sites — the per-frame-type breakdown exp8 reports. Envelope and
-  /// bootstrap framing overhead is not attributed here.
-  CodecByteCounts type_byte_counts(FrameType type) const;
+  /// Frame bytes of one frame type, counted at the coordinator's
+  /// encode/decode sites — the per-frame-type breakdown exp8 reports.
+  /// Envelope and bootstrap framing overhead is not attributed here.
+  int64_t frame_bytes(FrameType type) const;
 
   /// Every counter of the collected stats footers summed over the shards
   /// (DiscoveryStats feeds; shard_id and attempt_id stay 0). Shards whose

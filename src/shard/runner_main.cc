@@ -130,9 +130,7 @@ int ShardRunnerMain(int argc, char** argv) {
   Result<BootstrapFrame> table_raw =
       ReceiveExpected(channel.get(), FrameType::kTableBlock);
   if (!table_raw.ok()) return Fail(2, "table frame", table_raw.status());
-  CodecByteCounts table_counts;
-  Result<EncodedTable> table = DecodeTableBlock(table_raw->frame,
-                                                &table_counts);
+  Result<EncodedTable> table = DecodeTableBlock(table_raw->frame);
   if (!table.ok()) return Fail(2, "table decode", table.status());
 
   ShardRunnerOptions options;
@@ -146,7 +144,6 @@ int ShardRunnerMain(int argc, char** argv) {
   options.sampler_config.seed = config->sampler_seed;
   options.partition_memory_budget_bytes =
       config->partition_memory_budget_bytes;
-  options.wire_compression = config->wire_compression;
   options.kinds = DependencyKindSet(config->kinds);
   options.afd_error = config->afd_error;
 
@@ -158,10 +155,6 @@ int ShardRunnerMain(int argc, char** argv) {
 
   ShardRunner runner(static_cast<int>(config->shard_id), &*table, options,
                      channel.get(), channel.get(), pool.get());
-  // The table was decoded before the runner existed; fold its raw/wire
-  // bytes into the footer so the coordinator's ratio accounting sees
-  // the biggest bootstrap frame too.
-  runner.CreditDecodedBytes(table_counts);
   Status served;
   const int64_t crash_before = CrashBeforeFrame();
   if (crash_before < 0) {

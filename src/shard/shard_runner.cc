@@ -73,9 +73,8 @@ Status ShardRunner::Serve(const std::function<bool()>& cancel) {
 }
 
 Status ShardRunner::HandlePartitionBlock(const DecodedFrame& frame) {
-  AOD_ASSIGN_OR_RETURN(
-      auto block,
-      DecodePartitionBlock(frame, table_->num_rows(), &decoded_counts_));
+  AOD_ASSIGN_OR_RETURN(auto block,
+                       DecodePartitionBlock(frame, table_->num_rows()));
   cache_.Preload(block.first, std::move(block.second));
   SampleResidency();
   return Status::OK();
@@ -102,8 +101,6 @@ ShardStatsFooter ShardRunner::FooterStats() const {
   footer.partition_bytes_evicted = bytes_evicted_;
   footer.partition_bytes_final = cache_.bytes_resident();
   footer.partition_bytes_peak = bytes_peak_;
-  footer.bytes_decoded_raw = decoded_counts_.raw;
-  footer.bytes_decoded_wire = decoded_counts_.wire;
   footer.partition_seconds = partition_seconds();
   return footer;
 }
@@ -111,7 +108,7 @@ ShardStatsFooter ShardRunner::FooterStats() const {
 Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
                                          const std::function<bool()>& cancel) {
   AOD_ASSIGN_OR_RETURN(std::vector<WireCandidate> batch,
-                       DecodeCandidateBatch(frame, &decoded_counts_));
+                       DecodeCandidateBatch(frame));
 
   // A candidate whose kind this run never enabled is a coordinator bug
   // (or a corrupted-but-checksum-valid stream), not work to skip: reject
@@ -162,8 +159,7 @@ Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
         std::make_move_iterator(completed.begin() + begin),
         std::make_move_iterator(completed.begin() + end));
     const bool final_chunk = end == completed.size();
-    AOD_RETURN_NOT_OK(sender.Add(EncodeResultBatch(
-        chunk, final_chunk, options_.wire_compression)));
+    AOD_RETURN_NOT_OK(sender.Add(EncodeResultBatch(chunk, final_chunk)));
     begin = end;
   } while (begin < completed.size());
   AOD_RETURN_NOT_OK(sender.Flush());

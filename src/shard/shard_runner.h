@@ -70,10 +70,6 @@ struct ShardRunnerOptions {
   /// Partition byte budget *per shard*, enforced on the runner's cache
   /// after every batch (0 = unlimited).
   int64_t partition_memory_budget_bytes = 0;
-  /// Encode result frames with the compressed codecs (wire.h). Decoders
-  /// always accept both codecs — this only controls what this runner
-  /// emits, mirroring DiscoveryOptions::shard_wire_compression.
-  bool wire_compression = true;
 };
 
 class ShardRunner {
@@ -130,14 +126,6 @@ class ShardRunner {
   /// timing field.
   ShardStatsFooter FooterStats() const;
 
-  /// Folds decode-side byte counts produced outside the serve loop into
-  /// the footer's raw/wire totals — runner_main decodes the kTableBlock
-  /// before the runner exists and credits it here, so the coordinator's
-  /// compression-ratio accounting sees the table bytes too.
-  void CreditDecodedBytes(const CodecByteCounts& counts) {
-    decoded_counts_.Add(counts);
-  }
-
  private:
   Status HandlePartitionBlock(const DecodedFrame& frame);
   Status HandleCandidateBatch(const DecodedFrame& frame,
@@ -164,7 +152,6 @@ class ShardRunner {
   exec::ThreadPool* pool_;
   PartitionCache cache_;
   std::unique_ptr<AocSampler> sampler_;
-  CodecByteCounts decoded_counts_;
   int64_t bytes_evicted_ = 0;
   /// Residency high-water mark, sampled after every installed base and
   /// every served batch (quiescent points, so the sample is exact).

@@ -90,10 +90,9 @@ std::unique_ptr<ShardChannel> ShardSupervisor::Decorate(
   return ch;
 }
 
-void ShardSupervisor::AddTypeCounts(FrameType type,
-                                    const CodecByteCounts& counts) {
+void ShardSupervisor::AddFrameBytes(FrameType type, int64_t bytes) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  by_type_[static_cast<size_t>(type)].Add(counts);
+  frame_bytes_[static_cast<size_t>(type)] += bytes;
 }
 
 Status ShardSupervisor::BuildAttempt(bool force_inproc,
@@ -198,7 +197,6 @@ Status ShardSupervisor::BuildAttempt(bool force_inproc,
       config.sampler_seed = ropts.sampler_config.seed;
       config.partition_memory_budget_bytes =
           ropts.partition_memory_budget_bytes;
-      config.wire_compression = ropts.wire_compression;
       config.kinds = ropts.kinds.bits();
       config.afd_error = ropts.afd_error;
       // N children each as wide as the coordinator would oversubscribe
@@ -207,7 +205,8 @@ Status ShardSupervisor::BuildAttempt(bool force_inproc,
           std::max(1, bootstrap_->pool_workers / bootstrap_->num_shards));
       AOD_RETURN_NOT_OK(a->to_shard->Send(EncodeConfigBlock(config)));
       AOD_RETURN_NOT_OK(a->to_shard->Send(bootstrap_->table_frame));
-      AddTypeCounts(FrameType::kTableBlock, bootstrap_->table_counts);
+      AddFrameBytes(FrameType::kTableBlock,
+                    static_cast<int64_t>(bootstrap_->table_frame.size()));
       break;
     }
   }
@@ -223,7 +222,7 @@ Status ShardSupervisor::SeedAttempt(Attempt* attempt,
   // The envelope counts as its inner frames — the unit the footer
   // cross-check compares against frames_served.
   attempt->frames_sent += bootstrap_->base_frames;
-  AddTypeCounts(FrameType::kPartitionBlock, bootstrap_->base_counts);
+  AddFrameBytes(FrameType::kPartitionBlock, bootstrap_->base_frame_bytes);
   if (attempt->runner != nullptr) {
     for (int i = 0; i < bootstrap_->base_frames; ++i) {
       AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
@@ -250,11 +249,11 @@ Status ShardSupervisor::EstablishCurrent(bool force_inproc,
 Status ShardSupervisor::ExecuteLevelOnce(
     Attempt* attempt, const std::vector<WireCandidate>& batch,
     const std::function<bool()>& cancel, std::vector<WireOutcome>* out) {
-  CodecByteCounts encode_counts;
-  AOD_RETURN_NOT_OK(attempt->to_shard->Send(EncodeCandidateBatch(
-      batch, bootstrap_->runner_options.wire_compression, &encode_counts)));
+  std::vector<uint8_t> candidates = EncodeCandidateBatch(batch);
+  const int64_t candidate_bytes = static_cast<int64_t>(candidates.size());
+  AOD_RETURN_NOT_OK(attempt->to_shard->Send(std::move(candidates)));
   ++attempt->frames_sent;
-  AddTypeCounts(FrameType::kCandidateBatch, encode_counts);
+  AddFrameBytes(FrameType::kCandidateBatch, candidate_bytes);
   if (attempt->runner != nullptr) {
     AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
   }
@@ -263,7 +262,7 @@ Status ShardSupervisor::ExecuteLevelOnce(
   // babbling runner is a typed protocol error, not a loop.
   const size_t max_chunks = batch.size() + 1;
   size_t chunks = 0;
-  CodecByteCounts decode_counts;
+  int64_t reply_bytes = 0;
   for (;;) {
     if (++chunks > max_chunks) {
       return Status::ParseError("shard result stream never finalized");
@@ -271,12 +270,12 @@ Status ShardSupervisor::ExecuteLevelOnce(
     AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
                          attempt->receiver->Receive());
     AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
-    AOD_ASSIGN_OR_RETURN(WireResultChunk chunk,
-                         DecodeResultBatch(frame, &decode_counts));
+    AOD_ASSIGN_OR_RETURN(WireResultChunk chunk, DecodeResultBatch(frame));
+    reply_bytes += static_cast<int64_t>(raw.size());
     for (WireOutcome& o : chunk.outcomes) out->push_back(std::move(o));
     if (chunk.final_chunk) break;
   }
-  AddTypeCounts(FrameType::kResultBatch, decode_counts);
+  AddFrameBytes(FrameType::kResultBatch, reply_bytes);
   return Status::OK();
 }
 
@@ -558,9 +557,9 @@ int64_t ShardSupervisor::bytes_shipped() const {
   return total;
 }
 
-CodecByteCounts ShardSupervisor::type_byte_counts(FrameType type) const {
+int64_t ShardSupervisor::frame_bytes(FrameType type) const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  return by_type_[static_cast<size_t>(type)];
+  return frame_bytes_[static_cast<size_t>(type)];
 }
 
 }  // namespace shard

@@ -89,15 +89,14 @@ struct ShardSupervisionOptions {
 /// encoded (and checksummed) once per run, not once per attempt.
 struct ShardBootstrap {
   const EncodedTable* table = nullptr;
-  /// kTableBlock for process runners (empty otherwise) + its codec
-  /// byte counts, credited per shipment.
+  /// kTableBlock for process runners (empty otherwise).
   std::vector<uint8_t> table_frame;
-  CodecByteCounts table_counts;
   /// The base (level-1) partitions: one kBatch envelope of
   /// `base_frames` kPartitionBlock frames (or the single frame when
-  /// base_frames == 1).
+  /// base_frames == 1). `base_frame_bytes` sums the inner frames, the
+  /// kPartitionBlock volume credited per shipment.
   std::vector<uint8_t> base_shipment;
-  CodecByteCounts base_counts;
+  int64_t base_frame_bytes = 0;
   int base_frames = 0;
   /// Per-runner options template; the supervisor stamps attempt_id.
   ShardRunnerOptions runner_options;
@@ -166,7 +165,8 @@ class ShardSupervisor {
   const ShardStatsFooter& footer() const { return footer_; }
   /// Wire bytes both directions, live attempt plus every torn-down one.
   int64_t bytes_shipped() const;
-  CodecByteCounts type_byte_counts(FrameType type) const;
+  /// Frame bytes of one type, summed over every attempt.
+  int64_t frame_bytes(FrameType type) const;
 
  private:
   /// One (re)establishment: channels, receiver, in-process runner or
@@ -195,7 +195,7 @@ class ShardSupervisor {
   double BoundedIoTimeout() const;
   bool DeadlineExpired() const;
   std::unique_ptr<ShardChannel> Decorate(std::unique_ptr<ShardChannel> ch);
-  void AddTypeCounts(FrameType type, const CodecByteCounts& counts);
+  void AddFrameBytes(FrameType type, int64_t bytes);
 
   /// Builds one attempt (connect/spawn/bootstrap-send). On failure the
   /// partially built attempt is still handed back through `out` so the
@@ -234,11 +234,11 @@ class ShardSupervisor {
   std::unique_ptr<Attempt> current_;
   std::atomic<uint32_t> attempt_seq_{0};
 
-  /// Guards the codec byte counters. Like attempts_mutex_, it has no
+  /// Guards the byte counters. Like attempts_mutex_, it has no
   /// cross-thread caller left: the level task encodes and decodes, the
   /// coordinator reads after the join.
   mutable std::mutex stats_mutex_;
-  CodecByteCounts by_type_[static_cast<size_t>(FrameType::kBatch) + 1];
+  int64_t frame_bytes_[static_cast<size_t>(FrameType::kBatch) + 1] = {};
   int64_t retired_bytes_ = 0;
 
   /// Written by the driving thread, read by the coordinator after the

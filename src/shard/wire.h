@@ -19,21 +19,12 @@
 // the payload, and every payload read is bounds-checked, so a truncated
 // or corrupted buffer yields a clean ParseError, never a misparse.
 //
-// Version 2 adds a compressed-payload layer under the frame header. The
-// bulky payloads (partition CSR arrays, table rank columns, candidate
-// and result batches) carry a *flags byte* that says how the body is
-// encoded: raw fixed-width (exactly the version-1 layout after the
-// flags byte) or a delta/varint form that exploits the canonical CSR
-// normal form — row ids ascend within each class and class offsets are
-// monotone, so deltas are small and LEB128 varints shrink them 3–6×.
-// The encoder picks the smaller of the two (a compressed attempt aborts
-// the moment it outgrows the raw body — the cheap cost threshold that
-// keeps incompressible payloads raw), and the flags byte makes every
-// frame self-describing: a decoder never needs to know what the encoder
-// chose. The checksum always covers the on-wire (possibly compressed)
-// payload bytes. Version 2 also adds kBatch: an envelope frame whose
-// payload is a sequence of complete inner frames, so many small frames
-// cross a socket as one write (see channel.h's BatchingFrameSender).
+// Every payload has exactly one fixed-width layout. Nothing is
+// compressed: every supported transport is in-process or loopback, where
+// encoding a compressed body costs more time than its smaller size
+// saves. kBatch is an envelope frame whose payload is a sequence of
+// complete inner frames, so many small frames cross a socket as one
+// write (see channel.h's BatchingFrameSender).
 //
 // The frame layer is transport-agnostic: ShardChannel moves opaque
 // frames, and a socket or pipe transport can replace the in-process
@@ -75,7 +66,12 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// Version 7: kJobSubmit drops the derivation-planner flag byte (the
 /// planner is the only derivation rule) and kStatsFooter carries the
 /// shard cache's three planner counters after products_computed.
-inline constexpr uint16_t kWireVersion = 7;
+/// Version 8: every frame ships raw. kPartitionBlock loses its codec
+/// byte, kCandidateBatch its flags byte and each kTableBlock column its
+/// rank-codec byte; kResultBatch keeps its flags byte for
+/// kResultFlagFinalChunk only. kConfigBlock drops the compression byte
+/// and kStatsFooter the two decoded raw/wire byte counters.
+inline constexpr uint16_t kWireVersion = 8;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -138,50 +134,17 @@ enum class FrameType : uint16_t {
   kCancel = 13,
 };
 
-// Payload codec identifiers — the per-frame flags byte. "Raw" is always
-// exactly the version-1 fixed-width layout after the flags byte, so the
-// codec choice never changes what a decoded message contains.
-/// kPartitionBlock body codecs. The encoder builds both compressed
-/// bodies (bounded by the raw size) and ships the smallest:
-/// delta-varint wins when in-class row gaps are small (low-cardinality
-/// columns, long runs); class-label wins for mid-cardinality columns,
-/// where a bit-packed label costs log2(classes) bits per row while a
-/// gap delta already needs two varint bytes.
-inline constexpr uint8_t kCodecRaw = 0;
-inline constexpr uint8_t kCodecDeltaVarint = 1;
-/// Coverage bitmap over [0, max_row], then for each covered row (in
-/// ascending row order) its class index, bit-packed at
-/// ceil(log2(num_classes)) bits, LSB first.
-inline constexpr uint8_t kCodecClassLabel = 2;
-/// Per-column rank codecs inside kTableBlock. Ranks are already dense
-/// dictionary codes in [0, cardinality), so small domains pack into
-/// fixed narrow widths (the dictionary path) and mid-size domains into
-/// varints; the selection is a pure function of the cardinality.
-inline constexpr uint8_t kRankCodecRaw = 0;
-inline constexpr uint8_t kRankCodecByte = 1;    // cardinality <= 2^8
-inline constexpr uint8_t kRankCodecShort = 2;   // cardinality <= 2^16
-inline constexpr uint8_t kRankCodecVarint = 3;  // cardinality <= 2^21
 /// kResultBatch flag bits.
 inline constexpr uint8_t kResultFlagFinalChunk = 0x01;
-inline constexpr uint8_t kResultFlagCompressed = 0x02;
-/// kCandidateBatch flag bits.
-inline constexpr uint8_t kCandidateFlagCompressed = 0x01;
 
 /// FNV-1a 64 over `size` bytes — the frame checksum.
 uint64_t WireChecksum(const uint8_t* data, size_t size);
 
-/// Raw vs. on-wire byte accounting for one or more codec-bearing frames:
-/// `raw` is what the frame(s) would occupy with every codec forced to
-/// raw (header included), `wire` is what actually crossed the channel.
-/// Encoders and decoders compute identical values from the same message,
-/// so either side of the seam can account without trusting the other.
+/// Kept only because perfbench/src/replay.cc compiles against it (see
+/// the four-argument EncodePartitionBlock): `raw` is the byte count of
+/// the frames encoded through it. No library code reads it.
 struct CodecByteCounts {
   int64_t raw = 0;
-  int64_t wire = 0;
-  void Add(const CodecByteCounts& o) {
-    raw += o.raw;
-    wire += o.wire;
-  }
 };
 
 /// Appends little-endian primitives to a growing payload, then seals the
@@ -266,12 +229,7 @@ Result<DecodedFrame> DecodeFrame(std::vector<uint8_t>&&) = delete;
 
 // ---------------------------------------------------------------------------
 // Message vocabulary. One encode/decode pair per FrameType; decoders
-// reject type mismatches and any structural violation. Every encoder of
-// a codec-bearing frame takes `compress` (false forces the raw codec —
-// the determinism matrix runs both ways) and an optional `counts`
-// accumulator for the raw/wire byte split; decoders accept either codec
-// regardless (frames are self-describing) and can report the same
-// counts from their side of the seam.
+// reject type mismatches and any structural violation.
 
 /// One candidate assigned to a shard. `slot` is the candidate's index in
 /// the coordinator's flattened per-level array — results are keyed by it,
@@ -314,30 +272,32 @@ struct WireResultChunk {
   bool final_chunk = true;
 };
 
+/// Payload: u64 attribute-set bits, then the partition's CSR bytes
+/// exactly as StrippedPartition::SerializeTo writes them.
+std::vector<uint8_t> EncodePartitionBlock(AttributeSet set,
+                                          const StrippedPartition& partition);
+/// Kept only for perfbench/src/replay.cc, which compiles against this
+/// signature: the bool is ignored and `counts->raw` (when non-null)
+/// grows by the frame's size.
 std::vector<uint8_t> EncodePartitionBlock(AttributeSet set,
                                           const StrippedPartition& partition,
-                                          bool compress = true,
-                                          CodecByteCounts* counts = nullptr);
+                                          bool, CodecByteCounts* counts);
 /// `num_rows` bounds the decoded row ids; the partition is additionally
-/// validated for canonical form (see StrippedPartition::Deserialize) —
-/// a compressed body is expanded back to the raw CSR bytes first, so
-/// both codecs pass through exactly the same structural validation.
+/// validated for canonical form (see StrippedPartition::Deserialize).
 Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
-    const DecodedFrame& frame, int64_t num_rows,
-    CodecByteCounts* counts = nullptr);
+    const DecodedFrame& frame, int64_t num_rows);
 
+/// Payload: u64 count, then 30 bytes per candidate.
 std::vector<uint8_t> EncodeCandidateBatch(
-    const std::vector<WireCandidate>& candidates, bool compress = true,
-    CodecByteCounts* counts = nullptr);
+    const std::vector<WireCandidate>& candidates);
 Result<std::vector<WireCandidate>> DecodeCandidateBatch(
-    const DecodedFrame& frame, CodecByteCounts* counts = nullptr);
+    const DecodedFrame& frame);
 
+/// Payload: u8 flags (kResultFlagFinalChunk), u64 count, then 51 bytes
+/// per outcome followed by its removal-row array.
 std::vector<uint8_t> EncodeResultBatch(const std::vector<WireOutcome>& outcomes,
-                                       bool final_chunk = true,
-                                       bool compress = true,
-                                       CodecByteCounts* counts = nullptr);
-Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame,
-                                          CodecByteCounts* counts = nullptr);
+                                       bool final_chunk = true);
+Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame);
 
 /// The shard-relevant validation configuration, flattened to wire-level
 /// scalars so this module stays independent of od/. The coordinator
@@ -362,8 +322,6 @@ struct WireRunnerConfig {
   /// Worker threads for the runner's own pool (process transport only;
   /// determinism does not depend on it).
   uint32_t num_threads = 1;
-  /// Whether the runner's own encoders (result chunks) may compress.
-  bool wire_compression = true;
   /// DependencyKindSet::bits() of the kinds this runner must validate;
   /// decoders reject an empty or unknown-bit mask. The runner refuses
   /// candidate batches naming kinds outside this set.
@@ -379,13 +337,11 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame);
 /// arrays. Dictionaries (raw values) never cross the shard seam:
 /// validators are pure integer work, so the decoded table carries empty
 /// dictionaries. Decoding validates every rank against its declared
-/// cardinality and every column length against num_rows. Each column
-/// carries its own rank codec byte (see kRankCodec*).
-std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table,
-                                      bool compress = true,
-                                      CodecByteCounts* counts = nullptr);
-Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame,
-                                      CodecByteCounts* counts = nullptr);
+/// cardinality and every column length against num_rows. Payload: i64
+/// num_rows, u32 num_columns, then per column its name, i32 cardinality
+/// and the i32 rank array.
+std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table);
+Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame);
 
 /// An empty-payload kShutdown frame.
 std::vector<uint8_t> EncodeShutdown();
@@ -427,12 +383,6 @@ struct ShardStatsFooter {
   int64_t partition_bytes_evicted = 0;
   int64_t partition_bytes_final = 0;
   int64_t partition_bytes_peak = 0;
-  /// Raw vs. on-wire bytes of every codec-bearing frame this shard
-  /// decoded (partitions, candidate batches, and — for process runners
-  /// — the table block). The coordinator folds these into the run's
-  /// shard_bytes_raw so the compression ratio is observable per run.
-  int64_t bytes_decoded_raw = 0;
-  int64_t bytes_decoded_wire = 0;
   double partition_seconds = 0.0;
 };
 

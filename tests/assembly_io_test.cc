@@ -177,12 +177,10 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   ASSERT_GT(result.CountOfKind(DependencyKind::kOc), 0);
 
   result.stats.shards_used = 3;
-  result.stats.shard_bytes_shipped = 123456;
-  result.stats.shard_bytes_per_shard = {1000, 20000, 102456};
-  result.stats.shard_bytes_raw = 200000;
   result.stats.shard_bytes_wire = 123456;
-  result.stats.shard_frame_bytes = {{"partition", 5000, 2500},
-                                    {"result", 800, 700}};
+  result.stats.shard_bytes_raw = 123456;
+  result.stats.shard_bytes_per_shard = {1000, 20000, 102456};
+  result.stats.shard_frame_bytes = {{"partition", 5000}, {"result", 700}};
   result.stats.shard_retries = 4;
   result.stats.shard_respawns = 2;
   result.stats.shard_fallback_shards = 1;
@@ -212,14 +210,14 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   }
   const DiscoveryStats& s = back->stats;
   EXPECT_EQ(s.shards_used, 3);
-  EXPECT_EQ(s.shard_bytes_shipped, 123456);
-  EXPECT_EQ(s.shard_bytes_per_shard, result.stats.shard_bytes_per_shard);
-  EXPECT_EQ(s.shard_bytes_raw, 200000);
   EXPECT_EQ(s.shard_bytes_wire, 123456);
+  EXPECT_EQ(s.shard_bytes_raw, 123456);
+  EXPECT_EQ(s.shard_bytes_per_shard, result.stats.shard_bytes_per_shard);
   ASSERT_EQ(s.shard_frame_bytes.size(), 2u);
   EXPECT_EQ(s.shard_frame_bytes[0].frame_type, "partition");
-  EXPECT_EQ(s.shard_frame_bytes[0].bytes_raw, 5000);
-  EXPECT_EQ(s.shard_frame_bytes[1].bytes_wire, 700);
+  EXPECT_EQ(s.shard_frame_bytes[0].bytes, 5000);
+  EXPECT_EQ(s.shard_frame_bytes[1].frame_type, "result");
+  EXPECT_EQ(s.shard_frame_bytes[1].bytes, 700);
   EXPECT_EQ(s.shard_retries, 4);
   EXPECT_EQ(s.shard_respawns, 2);
   EXPECT_EQ(s.shard_fallback_shards, 1);
@@ -257,13 +255,16 @@ TEST(ResultIoTest, BinaryBlobRejectsTruncationAndCorruption) {
   std::vector<uint8_t> wrong_version = blob;
   wrong_version[0] ^= 0xFF;
   EXPECT_FALSE(DeserializeResult(wrong_version).ok());
-  // So is a blob in the previous layout (version 2): a typed
+  // So is a blob in an earlier layout (version 2, or version 3 with the
+  // shipped/raw byte totals and per-type raw/wire pairs): a typed
   // ParseError, never a misparse.
-  std::vector<uint8_t> version_two = blob;
-  endian::StoreU16(version_two.data(), 2);
-  Result<DiscoveryResult> old = DeserializeResult(version_two);
-  ASSERT_FALSE(old.ok());
-  EXPECT_EQ(old.status().code(), StatusCode::kParseError);
+  for (uint16_t version : {2, 3}) {
+    std::vector<uint8_t> stale = blob;
+    endian::StoreU16(stale.data(), version);
+    Result<DiscoveryResult> old = DeserializeResult(stale);
+    ASSERT_FALSE(old.ok()) << "version " << version;
+    EXPECT_EQ(old.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(ResultIoTest, BinaryBlobRoundTripsMixedKindRecords) {

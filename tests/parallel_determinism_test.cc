@@ -272,20 +272,20 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
               unsharded.stats.oc_candidates_pruned);
     EXPECT_EQ(base.stats.nodes_processed, unsharded.stats.nodes_processed);
     EXPECT_EQ(base.stats.levels_processed, unsharded.stats.levels_processed);
-    EXPECT_GT(base.stats.shard_bytes_shipped, 0);
+    EXPECT_GT(base.stats.shard_bytes_wire, 0);
     ASSERT_EQ(base.stats.shard_bytes_per_shard.size(),
               static_cast<size_t>(shards));
 
     const std::string full = Fingerprint(base);
-    const int64_t bytes_shipped = base.stats.shard_bytes_shipped;
+    const int64_t bytes_shipped = base.stats.shard_bytes_wire;
     options.num_threads = 4;
     DiscoveryResult four = DiscoverOds(enc, options);
     EXPECT_EQ(Fingerprint(four), full);
-    EXPECT_EQ(four.stats.shard_bytes_shipped, bytes_shipped);
+    EXPECT_EQ(four.stats.shard_bytes_wire, bytes_shipped);
     options.num_threads = 0;  // hardware concurrency
     DiscoveryResult hw = DiscoverOds(enc, options);
     EXPECT_EQ(Fingerprint(hw), full);
-    EXPECT_EQ(hw.stats.shard_bytes_shipped, bytes_shipped);
+    EXPECT_EQ(hw.stats.shard_bytes_wire, bytes_shipped);
   }
 }
 
@@ -362,10 +362,10 @@ TEST(ParallelDeterminismTest, MixedKindRunsAreThreadAndShardInvariant) {
   }
 }
 
-TEST(ParallelDeterminismTest, MixedKindSocketAndCompressionInvariance) {
-  // Transport × codec for non-OD kinds: the kind tag crosses the v4
-  // wire in candidate and outcome frames; socket framing and the
-  // delta/varint codecs must not perturb a single byte of the output.
+TEST(ParallelDeterminismTest, MixedKindSocketTransportInvariance) {
+  // The transport dimension for non-OD kinds: the kind tag crosses the
+  // wire in candidate and outcome frames; socket framing must not
+  // perturb a single byte of the output.
   Table t = GenerateNcVoterTable(300, 6, 7);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -379,13 +379,9 @@ TEST(ParallelDeterminismTest, MixedKindSocketAndCompressionInvariance) {
        {ShardTransport::kInProcess, ShardTransport::kSocket}) {
     SCOPED_TRACE(ShardTransportToString(transport));
     options.shard_transport = transport;
-    for (bool compress : {true, false}) {
-      options.shard_wire_compression = compress;
-      DiscoveryResult run = DiscoverOds(enc, options);
-      ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
-      EXPECT_EQ(OutputFingerprint(run), expected)
-          << "compression=" << compress;
-    }
+    DiscoveryResult run = DiscoverOds(enc, options);
+    ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+    EXPECT_EQ(OutputFingerprint(run), expected);
   }
 }
 
@@ -463,62 +459,15 @@ TEST(ParallelDeterminismTest, SocketTransportMatchesInProcessBitExactly) {
     ASSERT_TRUE(socket.shard_status.ok()) << socket.shard_status.ToString();
     EXPECT_EQ(Fingerprint(socket), Fingerprint(inproc));
     EXPECT_EQ(OutputFingerprint(socket), expected_output);
-    EXPECT_EQ(socket.stats.shard_bytes_shipped,
-              inproc.stats.shard_bytes_shipped);
+    EXPECT_GT(socket.stats.shard_bytes_wire, 0);
+    EXPECT_EQ(socket.stats.shard_bytes_wire,
+              inproc.stats.shard_bytes_wire);
+    EXPECT_EQ(socket.stats.shard_bytes_raw, socket.stats.shard_bytes_wire);
+    EXPECT_FALSE(socket.stats.shard_frame_bytes.empty());
     // Footer-fed partition counters arrived over either transport.
     EXPECT_EQ(socket.stats.partitions_computed,
               inproc.stats.partitions_computed);
     EXPECT_GT(socket.stats.partition_bytes_peak, 0);
-  }
-}
-
-TEST(ParallelDeterminismTest, WireCompressionIsOutputInvariant) {
-  // The codec dimension of the determinism matrix: the delta/varint
-  // codecs are lossless and decode through the same validation gate as
-  // raw frames, so the *full* fingerprint (stats included) must be
-  // identical with compression on and off, for every transport and
-  // shard count — compression is purely a bytes-vs-CPU knob. The byte
-  // accounting must show it working: wire < raw when on (the shipped
-  // partitions and batches compress on these shapes), wire == raw when
-  // every codec is forced raw.
-  Table t = GenerateNcVoterTable(400, 6, 11);
-  EncodedTable enc = EncodeTable(t);
-  DiscoveryOptions options;
-  options.epsilon = 0.1;
-  options.collect_removal_sets = true;
-  options.num_threads = 2;
-  const std::string expected_output =
-      OutputFingerprint(DiscoverOds(enc, options));
-
-  for (ShardTransport transport :
-       {ShardTransport::kInProcess, ShardTransport::kSocket}) {
-    for (int shards : {1, 4}) {
-      SCOPED_TRACE(std::string(ShardTransportToString(transport)) +
-                   " num_shards=" + std::to_string(shards));
-      options.shard_transport = transport;
-      options.num_shards = shards;
-
-      options.shard_wire_compression = true;
-      DiscoveryResult compressed = DiscoverOds(enc, options);
-      ASSERT_TRUE(compressed.shard_status.ok())
-          << compressed.shard_status.ToString();
-      EXPECT_EQ(OutputFingerprint(compressed), expected_output);
-      EXPECT_LT(compressed.stats.shard_bytes_wire,
-                compressed.stats.shard_bytes_raw);
-      EXPECT_EQ(compressed.stats.shard_bytes_wire,
-                compressed.stats.shard_bytes_shipped);
-      EXPECT_FALSE(compressed.stats.shard_frame_bytes.empty());
-
-      options.shard_wire_compression = false;
-      DiscoveryResult raw = DiscoverOds(enc, options);
-      ASSERT_TRUE(raw.shard_status.ok()) << raw.shard_status.ToString();
-      EXPECT_EQ(Fingerprint(raw), Fingerprint(compressed));
-      EXPECT_EQ(raw.stats.shard_bytes_wire, raw.stats.shard_bytes_raw);
-      // Raw volume is codec-independent: both runs ship the same frames,
-      // so the all-raw baseline they report must agree.
-      EXPECT_EQ(raw.stats.shard_bytes_raw, compressed.stats.shard_bytes_raw);
-      options.shard_wire_compression = true;
-    }
   }
 }
 

@@ -14,8 +14,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -337,6 +341,48 @@ TEST(SocketChannelFaultTest, PartialWritesAreReassembled) {
   EXPECT_EQ(*got, frame);
   ::close(fds[1]);
   ::close(devnull[0]);
+}
+
+TEST(SocketChannelFaultTest, TeardownIsBoundedWhenPeerStopsReading) {
+  // Destroying an endpoint joins its writer thread, which first drains
+  // the send queue. Queue more than the loopback socket buffers hold to
+  // a peer that never reads: once the drain has made no progress for
+  // the receive timeout, the destructor must cut it instead of joining
+  // forever.
+  ChannelOptions options;
+  options.receive_timeout_seconds = 0.5;
+  Result<shard::LoopbackChannelPair> pair =
+      shard::ConnectLoopbackPair(5.0, options);
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  std::unique_ptr<SocketShardChannel> near = std::move(pair->near);
+  std::unique_ptr<SocketShardChannel> far = std::move(pair->far);
+  const std::vector<uint8_t> chunk(8 << 20, 0x5a);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(near->Send(chunk).ok());
+  // Precondition: the writer is stuck, so its backlog stops shrinking
+  // while still nonempty.
+  int64_t last = -1;
+  int stable = 0;
+  for (int polls = 0; polls < 50 && stable < 3; ++polls) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const int64_t backlog = near->send_backlog_bytes();
+    ASSERT_GT(backlog, 0) << "the socket buffers absorbed the whole queue";
+    stable = backlog == last ? stable + 1 : 0;
+    last = backlog;
+  }
+  ASSERT_EQ(stable, 3) << "the writer never stalled";
+
+  // Watchdog: a wedged join can never be undone, so a timeout ends the
+  // process with a diagnosis instead of running into the ctest timeout.
+  std::packaged_task<void()> teardown([&near] { near.reset(); });
+  std::future<void> done = teardown.get_future();
+  std::thread closer(std::move(teardown));
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    std::fprintf(stderr, "SocketShardChannel teardown: no return within "
+                         "10 s of a stalled drain (unbounded writer join)\n");
+    std::_Exit(1);
+  }
+  closer.join();
+  far.reset();
 }
 
 // -------------------------------------- coordinator fault injection --

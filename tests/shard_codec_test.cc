@@ -1,15 +1,12 @@
-// The version-2 payload codecs: delta/varint partition and batch
-// bodies, dictionary-packed table ranks, kBatch envelopes and the
-// batching sender/receiver pair.
+// The payload decoders of the shard wire (one fixed-width layout per
+// frame type), kBatch envelopes and the batching sender/receiver pair.
 //
-// The contract under test has three legs. (1) Losslessness: for every
-// message and every codec choice, compressed and raw frames decode to
-// identical objects — compression may never change what a shard
-// computes. (2) Economy: a compressed frame is never larger than its
-// raw sibling (the encoder's bail-out threshold). (3) Hostility: a
-// corrupted, truncated or structurally invalid compressed payload is a
-// typed ParseError — never an out-of-bounds read (the suite runs under
-// ASan/UBSan in CI), a crash, or a silently wrong decode.
+// The contract under test has two legs. (1) Losslessness: every message
+// decodes to an object identical to the one encoded, in a frame of
+// exactly the documented size. (2) Hostility: a corrupted, truncated or
+// structurally invalid payload is a typed ParseError — never an
+// out-of-bounds read (the suite runs under ASan/UBSan in CI), a crash,
+// or a silently non-canonical decode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,7 +27,6 @@ namespace aod {
 namespace {
 
 using shard::BatchingFrameSender;
-using shard::CodecByteCounts;
 using shard::DecodedFrame;
 using shard::DecodeFrame;
 using shard::FrameType;
@@ -50,13 +46,14 @@ struct HeldFrame {
   const DecodedFrame& operator*() const { return *decoded; }
 };
 
-/// Flips payload byte `i` and re-seals the checksum, so the corruption
-/// reaches the *payload* decoder instead of being absorbed by the frame
-/// checksum — the adversary this models controls the whole frame.
-std::vector<uint8_t> CorruptPayloadResealed(const std::vector<uint8_t>& frame,
-                                            size_t i) {
+/// Sets payload byte `i` to `value` and re-seals the checksum, so the
+/// corruption reaches the *payload* decoder instead of being absorbed by
+/// the frame checksum — the adversary this models controls the whole
+/// frame.
+std::vector<uint8_t> SetPayloadByteResealed(const std::vector<uint8_t>& frame,
+                                            size_t i, uint8_t value) {
   std::vector<uint8_t> bad = frame;
-  bad[shard::kFrameHeaderBytes + i] ^= 0x5a;
+  bad[shard::kFrameHeaderBytes + i] = value;
   const uint64_t checksum = shard::WireChecksum(
       bad.data() + shard::kFrameHeaderBytes,
       bad.size() - shard::kFrameHeaderBytes);
@@ -67,74 +64,80 @@ std::vector<uint8_t> CorruptPayloadResealed(const std::vector<uint8_t>& frame,
   return bad;
 }
 
-// ------------------------------------------------ partition codecs --
-
-void ExpectPartitionCodecEquivalence(const StrippedPartition& p,
-                                     int64_t num_rows) {
-  const AttributeSet set = AttributeSet::Of({0, 2});
-  CodecByteCounts compressed_counts;
-  CodecByteCounts raw_counts;
-  HeldFrame compressed(shard::EncodePartitionBlock(
-      set, p, /*compress=*/true, &compressed_counts));
-  HeldFrame raw(shard::EncodePartitionBlock(set, p, /*compress=*/false,
-                                            &raw_counts));
-  ASSERT_TRUE(compressed.ok());
-  ASSERT_TRUE(raw.ok());
-
-  // Economy: the encoder's bail-out keeps compressed <= raw, always.
-  EXPECT_LE(compressed.bytes.size(), raw.bytes.size());
-  // Both sides agree on the raw baseline; wire reflects what shipped.
-  EXPECT_EQ(compressed_counts.raw, raw_counts.raw);
-  EXPECT_EQ(compressed_counts.wire,
-            static_cast<int64_t>(compressed.bytes.size()));
-  EXPECT_EQ(raw_counts.wire, static_cast<int64_t>(raw.bytes.size()));
-
-  // Losslessness: both decode to the same set and bit-identical CSR.
-  auto from_compressed = shard::DecodePartitionBlock(*compressed, num_rows);
-  auto from_raw = shard::DecodePartitionBlock(*raw, num_rows);
-  ASSERT_TRUE(from_compressed.ok()) << from_compressed.status().ToString();
-  ASSERT_TRUE(from_raw.ok()) << from_raw.status().ToString();
-  EXPECT_EQ(from_compressed->first.bits(), set.bits());
-  EXPECT_EQ(from_compressed->second.Serialize(), p.Serialize());
-  EXPECT_EQ(from_raw->second.Serialize(), p.Serialize());
-
-  // The decoder reports the same raw/wire split the encoder did.
-  CodecByteCounts decode_counts;
-  ASSERT_TRUE(
-      shard::DecodePartitionBlock(*compressed, num_rows, &decode_counts)
-          .ok());
-  EXPECT_EQ(decode_counts.raw, compressed_counts.raw);
-  EXPECT_EQ(decode_counts.wire, compressed_counts.wire);
+/// Flips payload byte `i` and re-seals the checksum.
+std::vector<uint8_t> CorruptPayloadResealed(const std::vector<uint8_t>& frame,
+                                            size_t i) {
+  return SetPayloadByteResealed(
+      frame, i,
+      static_cast<uint8_t>(frame[shard::kFrameHeaderBytes + i] ^ 0x5a));
 }
 
-TEST(ShardCodecTest, PartitionEdgeShapesRoundTripBothCodecs) {
+/// Runs `decode` on every single-byte resealed corruption of `frame`'s
+/// payload: each one is either a typed ParseError or a decode that
+/// `accepted` vouches for.
+template <typename Decode, typename Accepted>
+void ExpectEveryByteTyped(const std::vector<uint8_t>& frame,
+                          const Decode& decode, const Accepted& accepted) {
+  for (size_t i = 0; i < frame.size() - shard::kFrameHeaderBytes; ++i) {
+    HeldFrame bad(CorruptPayloadResealed(frame, i));
+    ASSERT_TRUE(bad.ok()) << "reseal failed at byte " << i;
+    auto decoded = decode(*bad);
+    if (decoded.ok()) {
+      EXPECT_TRUE(accepted(*decoded)) << "byte " << i;
+    } else {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError)
+          << "byte " << i << ": " << decoded.status().ToString();
+    }
+  }
+}
+
+// ------------------------------------------------------ partitions --
+
+void ExpectPartitionRoundTrip(const StrippedPartition& p, int64_t num_rows) {
+  const AttributeSet set = AttributeSet::Of({0, 2});
+  HeldFrame frame(shard::EncodePartitionBlock(set, p));
+  ASSERT_TRUE(frame.ok());
+  // The layout is the attribute set followed by the CSR bytes verbatim.
+  EXPECT_EQ(frame.bytes.size(),
+            shard::kFrameHeaderBytes + 8 + p.Serialize().size());
+  auto back = shard::DecodePartitionBlock(*frame, num_rows);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->first.bits(), set.bits());
+  EXPECT_EQ(back->second.Serialize(), p.Serialize());
+
+  // The byte-counting overload ships the identical frame and counts it.
+  shard::CodecByteCounts counts;
+  EXPECT_EQ(shard::EncodePartitionBlock(set, p, true, &counts), frame.bytes);
+  EXPECT_EQ(counts.raw, static_cast<int64_t>(frame.bytes.size()));
+}
+
+TEST(ShardCodecTest, PartitionEdgeShapesRoundTrip) {
   // Empty partition (no classes), the degenerate single-row table, and
   // the whole-relation partition (one class covering everything).
-  ExpectPartitionCodecEquivalence(StrippedPartition(), 1);
-  ExpectPartitionCodecEquivalence(StrippedPartition(), 100);
-  ExpectPartitionCodecEquivalence(StrippedPartition::WholeRelation(2), 2);
-  ExpectPartitionCodecEquivalence(StrippedPartition::WholeRelation(257), 257);
-  // Many two-row classes: the adversarial shape for delta coding (no
-  // long runs, maximal per-class overhead).
+  ExpectPartitionRoundTrip(StrippedPartition(), 1);
+  ExpectPartitionRoundTrip(StrippedPartition(), 100);
+  ExpectPartitionRoundTrip(StrippedPartition::WholeRelation(2), 2);
+  ExpectPartitionRoundTrip(StrippedPartition::WholeRelation(257), 257);
+  // Many two-row classes.
   std::vector<std::vector<int32_t>> classes;
   for (int32_t r = 0; r < 64; r += 2) classes.push_back({r, r + 1});
   StrippedPartition pairs = StrippedPartition::FromClasses(classes);
   pairs.Normalize();
-  ExpectPartitionCodecEquivalence(pairs, 64);
-  // Interleaved classes: large within-class deltas.
+  ExpectPartitionRoundTrip(pairs, 64);
+  // Interleaved classes: large within-class gaps.
   StrippedPartition striped = StrippedPartition::FromClasses(
       {{0, 100, 200, 300}, {1, 101, 201, 301}, {2, 102, 202}});
   striped.Normalize();
-  ExpectPartitionCodecEquivalence(striped, 302);
+  ExpectPartitionRoundTrip(striped, 302);
 }
 
 class ShardCodecFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ShardCodecFuzzTest, RandomPartitionsRoundTripBothCodecs) {
+TEST_P(ShardCodecFuzzTest, RandomPartitionsRoundTrip) {
   Rng rng(GetParam() * 7919 + 1);
   const int64_t rows = 1 + static_cast<int64_t>(rng.UniformInt(0, 400));
-  // Half the seeds stay low-cardinality (delta-codec territory), half
-  // push into the label codec's regime.
+  // Half the seeds stay low-cardinality (long classes), half push to
+  // many small classes.
   const int64_t cardinality =
       1 + rng.UniformInt(0, GetParam() % 2 == 0 ? 12 : 160);
   EncodedTable t = testing_util::RandomEncodedTable(
@@ -142,91 +145,39 @@ TEST_P(ShardCodecFuzzTest, RandomPartitionsRoundTripBothCodecs) {
   PartitionScratch scratch(rows);
   StrippedPartition a = StrippedPartition::FromColumn(t.column(0));
   StrippedPartition b = StrippedPartition::FromColumn(t.column(1));
-  ExpectPartitionCodecEquivalence(a, rows);
-  ExpectPartitionCodecEquivalence(a.Product(b, rows, &scratch), rows);
+  ExpectPartitionRoundTrip(a, rows);
+  ExpectPartitionRoundTrip(a.Product(b, rows, &scratch), rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardCodecFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
-TEST(ShardCodecTest, CompressedPartitionShrinksTypicalCsr) {
-  // The headline property: a low-cardinality column over many rows —
-  // long ascending runs, the canonical normal form at work — compresses
-  // well. This is the shape base partitions actually have.
-  EncodedTable t = testing_util::RandomEncodedTable(20000, 1, 8, 42);
-  StrippedPartition p = StrippedPartition::FromColumn(t.column(0));
-  const std::vector<uint8_t> compressed =
-      shard::EncodePartitionBlock(AttributeSet::Of({0}), p);
-  const std::vector<uint8_t> raw = shard::EncodePartitionBlock(
-      AttributeSet::Of({0}), p, /*compress=*/false);
-  EXPECT_LT(compressed.size() * 3, raw.size())
-      << "expected >= 3x on a dense ascending CSR, got "
-      << raw.size() << " -> " << compressed.size();
-}
-
-TEST(ShardCodecTest, MidCardinalityPartitionUsesLabelCodec) {
-  // Cardinality ~1000 means in-class gaps average ~1000 — two varint
-  // bytes per row for the delta codec — while a bit-packed class label
-  // needs only 10 bits plus the coverage bitmap. The encoder must pick
-  // the label body and still beat raw by well over 2x.
-  EncodedTable t = testing_util::RandomEncodedTable(20000, 1, 1000, 7);
-  StrippedPartition p = StrippedPartition::FromColumn(t.column(0));
-  const std::vector<uint8_t> compressed =
-      shard::EncodePartitionBlock(AttributeSet::Of({0}), p);
-  const std::vector<uint8_t> raw = shard::EncodePartitionBlock(
-      AttributeSet::Of({0}), p, /*compress=*/false);
-  // flags byte: frame header (24) + attribute set (8), then the codec.
-  ASSERT_GT(compressed.size(), 33u);
-  EXPECT_EQ(compressed[32], shard::kCodecClassLabel);
-  EXPECT_LT(compressed.size() * 2, raw.size())
-      << "expected > 2x via bit-packed labels, got " << raw.size() << " -> "
-      << compressed.size();
-  ExpectPartitionCodecEquivalence(p, 20000);
-}
-
-TEST(ShardCodecTest, CorruptedCompressedPartitionIsTypedAtEveryByte) {
-  EncodedTable t = testing_util::RandomEncodedTable(300, 2, 4, 17);
-  StrippedPartition p = StrippedPartition::FromColumn(t.column(0));
-  const std::vector<uint8_t> frame =
-      shard::EncodePartitionBlock(AttributeSet::Of({0}), p);
-  HeldFrame pristine(frame);
-  ASSERT_TRUE(pristine.ok());
-  ASSERT_TRUE(shard::DecodePartitionBlock(*pristine, 300).ok());
-  const size_t payload = frame.size() - shard::kFrameHeaderBytes;
-  for (size_t i = 0; i < payload; ++i) {
-    HeldFrame bad(CorruptPayloadResealed(frame, i));
-    // The re-sealed checksum always passes the frame layer; the payload
-    // decoder must reject the mutation or decode something canonical —
-    // never read out of bounds (ASan/UBSan enforce that part).
-    ASSERT_TRUE(bad.ok()) << "reseal failed at byte " << i;
-    auto decoded = shard::DecodePartitionBlock(*bad, 300);
-    if (!decoded.ok()) continue;
-    EXPECT_TRUE(decoded->second.IsCanonical()) << "byte " << i;
+TEST(ShardCodecTest, CorruptedPartitionBlockIsTypedAtEveryByte) {
+  // Low and mid cardinality: long classes, then many short ones.
+  for (int64_t cardinality : {4, 100}) {
+    SCOPED_TRACE("cardinality " + std::to_string(cardinality));
+    EncodedTable t = testing_util::RandomEncodedTable(300, 1, cardinality,
+                                                      17 + cardinality);
+    StrippedPartition p = StrippedPartition::FromColumn(t.column(0));
+    const std::vector<uint8_t> frame =
+        shard::EncodePartitionBlock(AttributeSet::Of({0}), p);
+    HeldFrame pristine(frame);
+    ASSERT_TRUE(pristine.ok());
+    ASSERT_TRUE(shard::DecodePartitionBlock(*pristine, 300).ok());
+    // A mutation that survives decoding only moved the attribute set or
+    // rows within canonical form.
+    ExpectEveryByteTyped(
+        frame,
+        [](const DecodedFrame& f) {
+          return shard::DecodePartitionBlock(f, 300);
+        },
+        [](const std::pair<AttributeSet, StrippedPartition>& block) {
+          return block.second.IsCanonical();
+        });
   }
 }
 
-TEST(ShardCodecTest, CorruptedLabelPartitionIsTypedAtEveryByte) {
-  // Cardinality 100 over 400 rows selects the class-label codec, so this
-  // sweep drives the bitmap/label decoder with every 1-byte mutation.
-  EncodedTable t = testing_util::RandomEncodedTable(400, 1, 100, 23);
-  StrippedPartition p = StrippedPartition::FromColumn(t.column(0));
-  const std::vector<uint8_t> frame =
-      shard::EncodePartitionBlock(AttributeSet::Of({0}), p);
-  ASSERT_EQ(frame[32], shard::kCodecClassLabel);
-  HeldFrame pristine(frame);
-  ASSERT_TRUE(pristine.ok());
-  ASSERT_TRUE(shard::DecodePartitionBlock(*pristine, 400).ok());
-  const size_t payload = frame.size() - shard::kFrameHeaderBytes;
-  for (size_t i = 0; i < payload; ++i) {
-    HeldFrame bad(CorruptPayloadResealed(frame, i));
-    ASSERT_TRUE(bad.ok()) << "reseal failed at byte " << i;
-    auto decoded = shard::DecodePartitionBlock(*bad, 400);
-    if (!decoded.ok()) continue;
-    EXPECT_TRUE(decoded->second.IsCanonical()) << "byte " << i;
-  }
-}
-
-// ---------------------------------------- candidate + result codecs --
+// --------------------------------------------- candidates + results --
 
 std::vector<WireCandidate> RandomCandidates(Rng* rng, size_t n) {
   std::vector<WireCandidate> out;
@@ -249,29 +200,24 @@ std::vector<WireCandidate> RandomCandidates(Rng* rng, size_t n) {
   return out;
 }
 
-TEST(ShardCodecTest, CandidateBatchCodecsAreEquivalent) {
+TEST(ShardCodecTest, CandidateBatchRoundTrips) {
   Rng rng(99);
   for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{300}}) {
     const std::vector<WireCandidate> batch = RandomCandidates(&rng, n);
-    HeldFrame compressed(shard::EncodeCandidateBatch(batch));
-    HeldFrame raw(shard::EncodeCandidateBatch(batch, /*compress=*/false));
-    ASSERT_TRUE(compressed.ok());
-    ASSERT_TRUE(raw.ok());
-    EXPECT_LE(compressed.bytes.size(), raw.bytes.size());
-    auto back_c = shard::DecodeCandidateBatch(*compressed);
-    auto back_r = shard::DecodeCandidateBatch(*raw);
-    ASSERT_TRUE(back_c.ok()) << back_c.status().ToString();
-    ASSERT_TRUE(back_r.ok());
-    ASSERT_EQ(back_c->size(), n);
+    HeldFrame frame(shard::EncodeCandidateBatch(batch));
+    ASSERT_TRUE(frame.ok());
+    EXPECT_EQ(frame.bytes.size(), shard::kFrameHeaderBytes + 8 + 30 * n);
+    auto back = shard::DecodeCandidateBatch(*frame);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back->size(), n);
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ((*back_c)[i].slot, batch[i].slot);
-      EXPECT_EQ((*back_c)[i].context_bits, batch[i].context_bits);
-      EXPECT_EQ((*back_c)[i].kind, batch[i].kind);
-      EXPECT_EQ((*back_c)[i].target, batch[i].target);
-      EXPECT_EQ((*back_c)[i].pair_a, batch[i].pair_a);
-      EXPECT_EQ((*back_c)[i].pair_b, batch[i].pair_b);
-      EXPECT_EQ((*back_c)[i].opposite, batch[i].opposite);
-      EXPECT_EQ((*back_r)[i].slot, batch[i].slot);
+      EXPECT_EQ((*back)[i].slot, batch[i].slot);
+      EXPECT_EQ((*back)[i].context_bits, batch[i].context_bits);
+      EXPECT_EQ((*back)[i].kind, batch[i].kind);
+      EXPECT_EQ((*back)[i].target, batch[i].target);
+      EXPECT_EQ((*back)[i].pair_a, batch[i].pair_a);
+      EXPECT_EQ((*back)[i].pair_b, batch[i].pair_b);
+      EXPECT_EQ((*back)[i].opposite, batch[i].opposite);
     }
   }
 }
@@ -302,96 +248,69 @@ std::vector<WireOutcome> RandomOutcomes(Rng* rng, size_t n, bool rows) {
   return out;
 }
 
-TEST(ShardCodecTest, ResultBatchCodecsAreBitExactEquivalent) {
+TEST(ShardCodecTest, ResultBatchRoundTripsBitExactly) {
   Rng rng(1234);
   for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{200}}) {
     for (bool rows : {false, true}) {
       const std::vector<WireOutcome> outcomes = RandomOutcomes(&rng, n, rows);
-      HeldFrame compressed(
-          shard::EncodeResultBatch(outcomes, /*final_chunk=*/false));
-      HeldFrame raw(shard::EncodeResultBatch(outcomes, /*final_chunk=*/false,
-                                             /*compress=*/false));
-      ASSERT_TRUE(compressed.ok());
-      ASSERT_TRUE(raw.ok());
-      EXPECT_LE(compressed.bytes.size(), raw.bytes.size());
-      auto back_c = shard::DecodeResultBatch(*compressed);
-      auto back_r = shard::DecodeResultBatch(*raw);
-      ASSERT_TRUE(back_c.ok()) << back_c.status().ToString();
-      ASSERT_TRUE(back_r.ok());
-      EXPECT_FALSE(back_c->final_chunk);
-      EXPECT_FALSE(back_r->final_chunk);
-      ASSERT_EQ(back_c->outcomes.size(), n);
-      for (size_t i = 0; i < n; ++i) {
-        const WireOutcome& c = back_c->outcomes[i];
-        const WireOutcome& r = back_r->outcomes[i];
-        EXPECT_EQ(c.slot, outcomes[i].slot);
-        EXPECT_EQ(c.kind, outcomes[i].kind);
-        EXPECT_EQ(c.valid, outcomes[i].valid);
-        EXPECT_EQ(c.early_exit, outcomes[i].early_exit);
-        EXPECT_EQ(r.kind, outcomes[i].kind);
-        EXPECT_EQ(c.removal_size, outcomes[i].removal_size);
-        // Doubles must survive bit-exactly through *both* codecs.
-        EXPECT_EQ(c.approx_factor, outcomes[i].approx_factor);
-        EXPECT_EQ(c.interestingness, outcomes[i].interestingness);
-        EXPECT_EQ(c.seconds, outcomes[i].seconds);
-        EXPECT_EQ(c.removal_rows, outcomes[i].removal_rows);
-        EXPECT_EQ(r.approx_factor, outcomes[i].approx_factor);
-        EXPECT_EQ(r.removal_rows, outcomes[i].removal_rows);
+      for (bool final_chunk : {false, true}) {
+        HeldFrame frame(shard::EncodeResultBatch(outcomes, final_chunk));
+        ASSERT_TRUE(frame.ok());
+        size_t expected_bytes = shard::kFrameHeaderBytes + 1 + 8;
+        for (const WireOutcome& o : outcomes) {
+          expected_bytes += 51 + 4 * o.removal_rows.size();
+        }
+        EXPECT_EQ(frame.bytes.size(), expected_bytes);
+        auto back = shard::DecodeResultBatch(*frame);
+        ASSERT_TRUE(back.ok()) << back.status().ToString();
+        EXPECT_EQ(back->final_chunk, final_chunk);
+        ASSERT_EQ(back->outcomes.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+          const WireOutcome& got = back->outcomes[i];
+          EXPECT_EQ(got.slot, outcomes[i].slot);
+          EXPECT_EQ(got.kind, outcomes[i].kind);
+          EXPECT_EQ(got.valid, outcomes[i].valid);
+          EXPECT_EQ(got.early_exit, outcomes[i].early_exit);
+          EXPECT_EQ(got.removal_size, outcomes[i].removal_size);
+          // Doubles must survive bit-exactly.
+          EXPECT_EQ(got.approx_factor, outcomes[i].approx_factor);
+          EXPECT_EQ(got.interestingness, outcomes[i].interestingness);
+          EXPECT_EQ(got.seconds, outcomes[i].seconds);
+          EXPECT_EQ(got.removal_rows, outcomes[i].removal_rows);
+        }
       }
     }
   }
 }
 
-TEST(ShardCodecTest, CorruptedCompressedBatchesAreTypedAtEveryByte) {
+TEST(ShardCodecTest, CorruptedBatchesAreTypedAtEveryByte) {
+  // Accepted mutations are the ones that only changed field values; the
+  // point is a typed error for everything else, no OOB and no crash.
   Rng rng(555);
-  const std::vector<uint8_t> candidate_frame =
-      shard::EncodeCandidateBatch(RandomCandidates(&rng, 40));
-  const std::vector<uint8_t> result_frame =
-      shard::EncodeResultBatch(RandomOutcomes(&rng, 30, true));
-  for (size_t i = 0;
-       i < candidate_frame.size() - shard::kFrameHeaderBytes; ++i) {
-    HeldFrame bad(CorruptPayloadResealed(candidate_frame, i));
-    ASSERT_TRUE(bad.ok());
-    // Either a typed rejection or a structurally plausible batch — the
-    // point is no OOB and no crash; accepted mutations are the ones
-    // that only changed candidate field values.
-    shard::DecodeCandidateBatch(*bad).status();
-  }
-  for (size_t i = 0; i < result_frame.size() - shard::kFrameHeaderBytes;
-       ++i) {
-    HeldFrame bad(CorruptPayloadResealed(result_frame, i));
-    ASSERT_TRUE(bad.ok());
-    shard::DecodeResultBatch(*bad).status();
-  }
+  ExpectEveryByteTyped(
+      shard::EncodeCandidateBatch(RandomCandidates(&rng, 40)),
+      [](const DecodedFrame& f) { return shard::DecodeCandidateBatch(f); },
+      [](const std::vector<WireCandidate>& batch) {
+        return batch.size() == 40;
+      });
+  ExpectEveryByteTyped(
+      shard::EncodeResultBatch(RandomOutcomes(&rng, 30, true)),
+      [](const DecodedFrame& f) { return shard::DecodeResultBatch(f); },
+      [](const shard::WireResultChunk& chunk) {
+        return chunk.outcomes.size() == 30;
+      });
 }
 
-/// Sets payload byte `i` to an exact value and re-seals the checksum —
-/// the targeted sibling of CorruptPayloadResealed's random flip.
-std::vector<uint8_t> SetPayloadByteResealed(const std::vector<uint8_t>& frame,
-                                            size_t i, uint8_t value) {
-  std::vector<uint8_t> bad = frame;
-  bad[shard::kFrameHeaderBytes + i] = value;
-  const uint64_t checksum = shard::WireChecksum(
-      bad.data() + shard::kFrameHeaderBytes,
-      bad.size() - shard::kFrameHeaderBytes);
-  for (int b = 0; b < 8; ++b) {
-    bad[16 + static_cast<size_t>(b)] =
-        static_cast<uint8_t>((checksum >> (8 * b)) & 0xff);
-  }
-  return bad;
-}
-
-TEST(ShardCodecTest, UnknownKindIdsAreTypedInBothBatchCodecs) {
-  // Raw candidate body: u8 flags, u64 count, then 30-byte records with
-  // the kind byte 16 bytes in (after slot + context). Every id outside
-  // the four known kinds must be a typed rejection naming the id.
+TEST(ShardCodecTest, UnknownKindIdsAndFlagsAreTyped) {
+  // Candidate body: u64 count, then 30-byte records with the kind byte
+  // 16 bytes in (after slot + context). Every id outside the four known
+  // kinds must be a typed rejection naming the id.
   Rng rng(808);
-  const std::vector<uint8_t> raw_candidates = shard::EncodeCandidateBatch(
-      RandomCandidates(&rng, 3), /*compress=*/false);
-  const size_t candidate_kind_at = 1 + 8 + 16;
+  const std::vector<uint8_t> candidates =
+      shard::EncodeCandidateBatch(RandomCandidates(&rng, 3));
+  const size_t candidate_kind_at = 8 + 16;
   for (uint8_t id : {uint8_t{4}, uint8_t{17}, uint8_t{255}}) {
-    HeldFrame bad(SetPayloadByteResealed(raw_candidates, candidate_kind_at,
-                                         id));
+    HeldFrame bad(SetPayloadByteResealed(candidates, candidate_kind_at, id));
     ASSERT_TRUE(bad.ok());
     auto r = shard::DecodeCandidateBatch(*bad);
     ASSERT_FALSE(r.ok()) << "kind id " << static_cast<int>(id) << " parsed";
@@ -401,13 +320,12 @@ TEST(ShardCodecTest, UnknownKindIdsAreTypedInBothBatchCodecs) {
         << r.status().ToString();
   }
 
-  // Raw outcome body: u8 flags, u64 count, then slot + the kind byte.
-  const std::vector<uint8_t> raw_outcomes = shard::EncodeResultBatch(
-      RandomOutcomes(&rng, 2, false), /*final_chunk=*/true,
-      /*compress=*/false);
+  // Outcome body: u8 flags, u64 count, then slot + the kind byte.
+  const std::vector<uint8_t> outcomes = shard::EncodeResultBatch(
+      RandomOutcomes(&rng, 2, false), /*final_chunk=*/true);
   const size_t outcome_kind_at = 1 + 8 + 8;
   for (uint8_t id : {uint8_t{4}, uint8_t{9}}) {
-    HeldFrame bad(SetPayloadByteResealed(raw_outcomes, outcome_kind_at, id));
+    HeldFrame bad(SetPayloadByteResealed(outcomes, outcome_kind_at, id));
     ASSERT_TRUE(bad.ok());
     auto r = shard::DecodeResultBatch(*bad);
     ASSERT_FALSE(r.ok());
@@ -416,51 +334,14 @@ TEST(ShardCodecTest, UnknownKindIdsAreTypedInBothBatchCodecs) {
         << r.status().ToString();
   }
 
-  // The compressed codecs pack the kind into two bits, so an unknown id
-  // is structurally unrepresentable there — what CAN go wrong is a set
-  // bit above the defined ones, and that too must be a typed error.
-  WireCandidate c;
-  c.slot = 0;
-  c.context_bits = 1;
-  c.kind = DependencyKind::kOc;
-  c.target = -1;
-  c.pair_a = 0;
-  c.pair_b = 2;
-  const std::vector<uint8_t> packed_candidates =
-      shard::EncodeCandidateBatch({c});
-  ASSERT_EQ(packed_candidates[shard::kFrameHeaderBytes],
-            shard::kCandidateFlagCompressed);
-  // Payload: flags, count varint, slot-delta varint, context varint,
-  // then the kind|polarity byte at offset 4.
-  {
-    HeldFrame bad(SetPayloadByteResealed(packed_candidates, 4, 0x08));
-    ASSERT_TRUE(bad.ok());
-    auto r = shard::DecodeCandidateBatch(*bad);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("unknown candidate flag bits"),
-              std::string::npos)
-        << r.status().ToString();
-  }
-
-  WireOutcome o;
-  o.slot = 0;
-  o.kind = DependencyKind::kAfd;
-  o.valid = true;
-  o.removal_size = 2;
-  o.approx_factor = 0.125;
-  o.interestingness = 0.5;
-  const std::vector<uint8_t> packed_outcomes =
-      shard::EncodeResultBatch({o}, /*final_chunk=*/false);
-  ASSERT_EQ(packed_outcomes[shard::kFrameHeaderBytes],
-            shard::kResultFlagCompressed);
-  // Payload: flags, count varint, slot-delta varint, then the packed
-  // valid|early_exit|kind byte at offset 3.
-  {
-    HeldFrame bad(SetPayloadByteResealed(packed_outcomes, 3, 0x10));
+  // Only the final-chunk bit is defined in the result flags byte; any
+  // other bit (0x02 was the version-7 compressed-body flag) is typed.
+  for (uint8_t flags : {uint8_t{0x02}, uint8_t{0x03}, uint8_t{0x80}}) {
+    HeldFrame bad(SetPayloadByteResealed(outcomes, 0, flags));
     ASSERT_TRUE(bad.ok());
     auto r = shard::DecodeResultBatch(*bad);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("unknown outcome flag bits"),
+    ASSERT_FALSE(r.ok()) << "flags " << static_cast<int>(flags);
+    EXPECT_NE(r.status().message().find("unknown result batch flags"),
               std::string::npos)
         << r.status().ToString();
   }
@@ -513,29 +394,23 @@ TEST(ShardCodecTest, ConfigBlockRejectsBadKindSetsAndThresholds) {
   }
 }
 
-// ------------------------------------------------------ table codecs --
+// ----------------------------------------------------------- tables --
 
-TEST(ShardCodecTest, TableRankCodecTiersRoundTripExactly) {
-  // Cardinalities straddling the byte/short/varint tier boundaries; a
-  // single-row table pins the smallest shape.
+TEST(ShardCodecTest, TableBlockRoundTripsAcrossCardinalities) {
+  // Cardinalities from a constant column up past 2^16; a single-row
+  // table pins the smallest shape.
   for (int64_t cardinality : {1, 2, 255, 256, 257, 65535, 65536, 70000}) {
     const int64_t rows = cardinality > 1000 ? cardinality + 10 : 400;
     EncodedTable t = testing_util::RandomEncodedTable(
         rows, 2, cardinality, static_cast<uint64_t>(cardinality) * 3 + 1);
-    HeldFrame compressed(shard::EncodeTableBlock(t));
-    HeldFrame raw(shard::EncodeTableBlock(t, /*compress=*/false));
-    ASSERT_TRUE(compressed.ok());
-    ASSERT_TRUE(raw.ok());
-    EXPECT_LE(compressed.bytes.size(), raw.bytes.size());
-    for (const HeldFrame* frame : {&compressed, &raw}) {
-      Result<EncodedTable> back = shard::DecodeTableBlock(**frame);
-      ASSERT_TRUE(back.ok()) << back.status().ToString();
-      ASSERT_EQ(back->num_columns(), t.num_columns());
-      for (int c = 0; c < t.num_columns(); ++c) {
-        EXPECT_EQ(back->ranks(c), t.ranks(c)) << "cardinality "
-                                              << cardinality;
-        EXPECT_EQ(back->column(c).cardinality, t.column(c).cardinality);
-      }
+    HeldFrame frame(shard::EncodeTableBlock(t));
+    ASSERT_TRUE(frame.ok());
+    Result<EncodedTable> back = shard::DecodeTableBlock(*frame);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back->num_columns(), t.num_columns());
+    for (int c = 0; c < t.num_columns(); ++c) {
+      EXPECT_EQ(back->ranks(c), t.ranks(c)) << "cardinality " << cardinality;
+      EXPECT_EQ(back->column(c).cardinality, t.column(c).cardinality);
     }
   }
   EncodedTable single = testing_util::RandomEncodedTable(1, 3, 1, 9);
@@ -546,17 +421,18 @@ TEST(ShardCodecTest, TableRankCodecTiersRoundTripExactly) {
   EXPECT_EQ(back->num_rows(), 1);
 }
 
-TEST(ShardCodecTest, CorruptedCompressedTableIsTypedAtEveryByte) {
+TEST(ShardCodecTest, CorruptedTableBlockIsTypedAtEveryByte) {
+  // Ranks are validated against cardinality and num_rows, so most
+  // mutations are typed rejections; the rest only renamed a column or
+  // moved rank values within their declared domain.
   EncodedTable t = testing_util::RandomEncodedTable(150, 3, 5, 77);
-  const std::vector<uint8_t> frame = shard::EncodeTableBlock(t);
-  for (size_t i = 0; i < frame.size() - shard::kFrameHeaderBytes; ++i) {
-    HeldFrame bad(CorruptPayloadResealed(frame, i));
-    ASSERT_TRUE(bad.ok());
-    // Ranks are validated against cardinality and num_rows, so most
-    // mutations are typed rejections; the rest only moved rank values
-    // within their declared domain. Never OOB, never a crash.
-    shard::DecodeTableBlock(*bad).status();
-  }
+  ExpectEveryByteTyped(
+      shard::EncodeTableBlock(t),
+      [](const DecodedFrame& f) { return shard::DecodeTableBlock(f); },
+      [&t](const EncodedTable& back) {
+        return back.num_rows() == t.num_rows() &&
+               back.num_columns() == t.num_columns();
+      });
 }
 
 // -------------------------------------------------- batch envelopes --

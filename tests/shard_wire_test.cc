@@ -228,9 +228,10 @@ TEST(ShardWireTest, UnsupportedVersionRejected) {
   EXPECT_NE(r.status().message().find("version"), std::string::npos);
 
   // Stale peers get the same typed rejection: v5 (sliced table blocks,
-  // row-range config) and v6 (planner flag in kJobSubmit, no planner
-  // counters in the stats footer).
-  for (uint8_t version : {5, 6}) {
+  // row-range config), v6 (planner flag in kJobSubmit, no planner
+  // counters in the stats footer) and v7 (compressed-payload codec and
+  // flags bytes, decoded raw/wire counters in the stats footer).
+  for (uint8_t version : {5, 6, 7}) {
     std::vector<uint8_t> old = shard::EncodeCandidateBatch({});
     old[4] = version;
     old[5] = 0;
@@ -423,8 +424,6 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   footer.partition_bytes_evicted = 4096;
   footer.partition_bytes_final = 123;
   footer.partition_bytes_peak = 456;
-  footer.bytes_decoded_raw = 9999;
-  footer.bytes_decoded_wire = 1111;
   footer.partition_seconds = 1.0 / 3.0;
 
   HeldFrame frame(shard::EncodeStatsFooter(footer));
@@ -442,8 +441,6 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   EXPECT_EQ(back->partition_bytes_evicted, 4096);
   EXPECT_EQ(back->partition_bytes_final, 123);
   EXPECT_EQ(back->partition_bytes_peak, 456);
-  EXPECT_EQ(back->bytes_decoded_raw, 9999);
-  EXPECT_EQ(back->bytes_decoded_wire, 1111);
   EXPECT_EQ(back->partition_seconds, footer.partition_seconds);
 
   // Negative counters are structurally impossible outputs; reject them.
@@ -452,11 +449,11 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(shard::DecodeStatsFooter(*bad).ok());
   footer.products_computed = 34;
-  footer.bytes_decoded_raw = -5;
-  HeldFrame bad_decoded(shard::EncodeStatsFooter(footer));
-  ASSERT_TRUE(bad_decoded.ok());
-  EXPECT_FALSE(shard::DecodeStatsFooter(*bad_decoded).ok());
-  footer.bytes_decoded_raw = 9999;
+  footer.partition_bytes_peak = -5;
+  HeldFrame bad_peak(shard::EncodeStatsFooter(footer));
+  ASSERT_TRUE(bad_peak.ok());
+  EXPECT_FALSE(shard::DecodeStatsFooter(*bad_peak).ok());
+  footer.partition_bytes_peak = 456;
   for (int64_t shard::ShardStatsFooter::*planner :
        {&shard::ShardStatsFooter::planner_derivations,
         &shard::ShardStatsFooter::planner_cost_estimated,
