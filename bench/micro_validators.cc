@@ -8,10 +8,12 @@
 // inversion counting vs plain merge-sort total counting.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "algo/inversions.h"
 #include "algo/lnds.h"
+#include "algo/radix_sort.h"
 #include "data/encoder.h"
 #include "gen/dataset_generator.h"
 #include "gen/random.h"
@@ -49,8 +51,9 @@ std::vector<int32_t> RandomSequence(int64_t n, int64_t cardinality,
 
 void BM_LndsLength(benchmark::State& state) {
   auto xs = RandomSequence(state.range(0), 1 << 20, 7);
+  std::vector<int32_t> tails;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LndsLength(xs));
+    benchmark::DoNotOptimize(LndsLength(xs, tails));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -63,6 +66,42 @@ void BM_LndsIndices(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LndsIndices)->Range(1 << 10, 1 << 17);
+
+// The crossover sweep behind PairOrder's kBucketsPerKey: 2^16 packed
+// (rank_a << bits_b | b') keys split into classes of k keys each, ordered
+// class by class with std::sort (method 0) or RadixSortKeys (method 1).
+// Args: {k, method, key bits}. Every iteration re-copies the unsorted
+// keys, which costs both methods the same.
+void BM_SortPackedKeys(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const bool radix = state.range(1) != 0;
+  const int key_bits = static_cast<int>(state.range(2));
+  constexpr size_t kKeys = size_t{1} << 16;
+  Rng rng(11);
+  std::vector<uint32_t> input(kKeys);
+  for (uint32_t& key : input) {
+    key = static_cast<uint32_t>(rng.NextUint64() >> (64 - key_bits));
+  }
+  std::vector<uint32_t> keys(kKeys);
+  std::vector<uint32_t> tmp(kKeys);
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), keys.begin());
+    for (size_t begin = 0; begin < kKeys; begin += k) {
+      uint32_t* first = keys.data() + begin;
+      if (radix) {
+        benchmark::DoNotOptimize(
+            RadixSortKeys(first, tmp.data() + begin, k, key_bits));
+      } else {
+        std::sort(first, first + k);
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kKeys));
+}
+BENCHMARK(BM_SortPackedKeys)
+    ->ArgsProduct({benchmark::CreateRange(16, 1 << 16, 2), {0, 1},
+                   {16, 20, 24, 28, 32}});
 
 void BM_CountInversionsMergeSort(benchmark::State& state) {
   auto xs = RandomSequence(state.range(0), 1 << 20, 9);

@@ -3,26 +3,30 @@
 namespace aod {
 namespace {
 
-/// Shared patience-DP core. `kStrict` selects LIS (strictly increasing)
-/// vs LNDS (non-decreasing).
+/// Shared patience-DP core: returns the number of elements off the
+/// longest subsequence, stopping once it provably exceeds `budget`.
+/// `kStrict` selects LIS (strictly increasing) vs LNDS (non-decreasing).
 template <bool kStrict>
-int64_t LengthImpl(const std::vector<int32_t>& xs) {
-  std::vector<int32_t> tails;  // tails[k] = min tail value of length k+1.
-  tails.reserve(xs.size());
+int64_t RemovalsImpl(std::span<const int32_t> xs, int64_t budget,
+                     std::vector<int32_t>& tails_buffer) {
+  if (tails_buffer.size() < xs.size()) tails_buffer.resize(xs.size());
+  // tails[k] = min tail value of a subsequence of length k+1.
+  int32_t* const tails = tails_buffer.data();
+  int32_t* end = tails;
+  int64_t removed = 0;
   for (int32_t x : xs) {
-    typename std::vector<int32_t>::iterator it;
-    if constexpr (kStrict) {
-      it = std::lower_bound(tails.begin(), tails.end(), x);
-    } else {
-      it = std::upper_bound(tails.begin(), tails.end(), x);
+    // Extending the longest pile is the common case on nearly ordered
+    // classes; skip the binary search for it.
+    if (end == tails || (kStrict ? end[-1] < x : end[-1] <= x)) {
+      *end++ = x;
+      continue;
     }
-    if (it == tails.end()) {
-      tails.push_back(x);
-    } else {
-      *it = x;
-    }
+    int32_t* it = kStrict ? std::lower_bound(tails, end, x)
+                          : std::upper_bound(tails, end, x);
+    *it = x;
+    if (++removed > budget) break;
   }
-  return static_cast<int64_t>(tails.size());
+  return removed;
 }
 
 template <bool kStrict>
@@ -62,12 +66,19 @@ std::vector<int32_t> IndicesImpl(const std::vector<int32_t>& xs) {
 
 }  // namespace
 
-int64_t LndsLength(const std::vector<int32_t>& xs) {
-  return LengthImpl<false>(xs);
+int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails) {
+  return static_cast<int64_t>(xs.size()) -
+         RemovalsImpl<false>(xs, INT64_MAX, tails);
 }
 
-int64_t LisLength(const std::vector<int32_t>& xs) {
-  return LengthImpl<true>(xs);
+int64_t LisLength(std::span<const int32_t> xs, std::vector<int32_t>& tails) {
+  return static_cast<int64_t>(xs.size()) -
+         RemovalsImpl<true>(xs, INT64_MAX, tails);
+}
+
+int64_t LndsRemovals(std::span<const int32_t> xs, int64_t budget,
+                     std::vector<int32_t>& tails) {
+  return RemovalsImpl<false>(xs, budget, tails);
 }
 
 std::vector<int32_t> LndsIndices(const std::vector<int32_t>& xs) {

@@ -10,15 +10,27 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace aod {
 
-/// Length of a longest non-decreasing subsequence of `xs`.
-int64_t LndsLength(const std::vector<int32_t>& xs);
+/// Length of a longest non-decreasing subsequence of `xs`. `tails` is
+/// caller-owned working storage: its contents are overwritten and its
+/// capacity is kept, so a reused buffer makes the call allocation-free.
+int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails);
 
-/// Length of a longest strictly increasing subsequence of `xs`.
-int64_t LisLength(const std::vector<int32_t>& xs);
+/// Length of a longest strictly increasing subsequence of `xs`; `tails`
+/// as for LndsLength.
+int64_t LisLength(std::span<const int32_t> xs, std::vector<int32_t>& tails);
+
+/// |xs| - LndsLength(xs), the size of a minimal removal set, computed
+/// under a budget. After i elements with p piles at least i - p elements
+/// are off every LNDS, so the scan stops as soon as that bound exceeds
+/// `budget`. The result is exact when it is <= `budget`; otherwise it is
+/// some value in (budget, exact].
+int64_t LndsRemovals(std::span<const int32_t> xs, int64_t budget,
+                     std::vector<int32_t>& tails);
 
 /// Positions (ascending) of one longest non-decreasing subsequence.
 std::vector<int32_t> LndsIndices(const std::vector<int32_t>& xs);

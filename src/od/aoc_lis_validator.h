@@ -10,6 +10,24 @@
 // Sec. 3.3 extension: breaking A-ties by B *DESC*ending instead forces the
 // LNDS to also eliminate splits, which validates the canonical OD
 // X: A -> B (== OC X: A ~ B plus OFD XA: [] -> B) in one pass.
+//
+// Which path runs (the ordering itself is od/pair_order.h):
+//   - Size only (`collect_removal_set` off, what discovery runs) with
+//     bits(|A|) + bits(|B|) <= 32: each class is ordered as packed 32-bit
+//     (rank_a, rank_b) keys, by LSD radix sort once the class pays for
+//     the radix histograms and by std::sort on the flat keys below that;
+//     no row id is sorted. The ranks are dense integers, so Thm. 3.4's
+//     comparison-model bound does not apply to this step: it costs
+//     O(m + 2^11) per radix pass, at most three passes.
+//   - Size only with a wider pair: a comparator sort of the row ids,
+//     O(m log m).
+//   - `collect_removal_set` on: always the comparator sort, since the
+//     removal set names rows; its rows are the LNDS complement in that
+//     order.
+// Then an O(m log m) LNDS per class. With `early_exit` the size-only LNDS
+// also stops mid-class: after i elements on p piles at least i - p are
+// removed, so a candidate stops as soon as that passes its budget, and
+// `removal_size` is then a lower bound above MaxRemovals (not exact).
 #ifndef AOD_OD_AOC_LIS_VALIDATOR_H_
 #define AOD_OD_AOC_LIS_VALIDATOR_H_
 
@@ -23,7 +41,7 @@ namespace aod {
 /// Validates the AOC `context_partition`: a ~ b against `epsilon`.
 /// The removal set is minimal (Thm. 3.3); `removal_size` is exact unless
 /// `early_exit` fired. O(n log n) total. `scratch` (optional) removes the
-/// per-call sort/projection allocations.
+/// per-call sort/projection/LNDS allocations.
 ValidationOutcome ValidateAocOptimal(const EncodedTable& table,
                                      const StrippedPartition& context_partition,
                                      int a, int b, double epsilon,

@@ -1,11 +1,13 @@
 #include "od/hybrid_sampler.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "algo/lnds.h"
 #include "common/macros.h"
 #include "gen/random.h"
 #include "od/aoc_lis_validator.h"
+#include "od/pair_order.h"
 
 namespace aod {
 
@@ -30,34 +32,18 @@ double AocSampler::EstimateFactor(const StrippedPartition& context_partition,
                                   int a, int b, bool opposite,
                                   ValidatorScratch* scratch) const {
   if (sampled_rows_ == 0) return 0.0;
-  const auto& ranks_a = table_->ranks(a);
-  const auto& ranks_b = table_->ranks(b);
-  const int32_t sign = opposite ? -1 : 1;
-
+  const PairOrder order(*table_, a, b, opposite, /*descending_ties=*/false);
   int64_t removal = 0;
   ValidatorScratch local;
   ValidatorScratch& s = scratch == nullptr ? local : *scratch;
   std::vector<int32_t>& rows = s.rows();
-  std::vector<int32_t>& projection = s.projection();
   for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
     rows.clear();
     for (int32_t r : cls) {
       if (in_sample_[static_cast<size_t>(r)]) rows.push_back(r);
     }
     if (rows.size() < 2) continue;
-    std::sort(rows.begin(), rows.end(), [&](int32_t s, int32_t t) {
-      int32_t sa = ranks_a[static_cast<size_t>(s)];
-      int32_t ta = ranks_a[static_cast<size_t>(t)];
-      if (sa != ta) return sa < ta;
-      return sign * ranks_b[static_cast<size_t>(s)] <
-             sign * ranks_b[static_cast<size_t>(t)];
-    });
-    projection.resize(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      projection[i] = sign * ranks_b[static_cast<size_t>(rows[i])];
-    }
-    removal += static_cast<int64_t>(projection.size()) -
-               LndsLength(projection);
+    removal += LndsRemovals(order.Project(rows, s), INT64_MAX, s.tails());
   }
   return static_cast<double>(removal) / static_cast<double>(sampled_rows_);
 }

@@ -18,10 +18,13 @@ namespace aod {
 
 class ValidatorScratch {
  public:
-  /// Row-id sort buffer (the [A ASC, B ASC] ordering of one class).
+  /// Row-id sort buffer (the [A ASC, B ASC] ordering of one class); also
+  /// the radix ping-pong buffer of PairOrder's packed keys.
   std::vector<int32_t>& rows() { return rows_; }
-  /// B-projection of the sorted class.
+  /// B-projection of the sorted class; also PairOrder's packed keys.
   std::vector<int32_t>& projection() { return projection_; }
+  /// Patience piles of the LNDS over one class (algo/lnds.h).
+  std::vector<int32_t>& tails() { return tails_; }
   /// Class-index ordering buffer (largest-first iteration).
   std::vector<int32_t>& order() { return order_; }
   /// A-ranks / B-ranks of the sorted class (iterative validator).
@@ -47,6 +50,7 @@ class ValidatorScratch {
  private:
   std::vector<int32_t> rows_;
   std::vector<int32_t> projection_;
+  std::vector<int32_t> tails_;
   std::vector<int32_t> order_;
   std::vector<int32_t> ranks_a_;
   std::vector<int32_t> ranks_b_;

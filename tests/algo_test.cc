@@ -66,7 +66,8 @@ TEST(LndsTest, PaperExample32) {
   // Example 3.2: tax projection after sorting Table 1 by [sal, tax]:
   // [2, 2.5, 0.3, 12, 1.5, 16.5, 1.8, 7.2, 16] (in K). Using x10 ints.
   std::vector<int32_t> tax = {20, 25, 3, 120, 15, 165, 18, 72, 160};
-  EXPECT_EQ(LndsLength(tax), 5);  // [0.3, 1.5, 1.8, 7.2, 16]
+  std::vector<int32_t> tails;
+  EXPECT_EQ(LndsLength(tax, tails), 5);  // [0.3, 1.5, 1.8, 7.2, 16]
   std::vector<int32_t> kept = LndsIndices(tax);
   ASSERT_EQ(kept.size(), 5u);
   // The removed positions are {0, 1, 3, 5} = tuples t1, t2, t4, t6.
@@ -74,31 +75,37 @@ TEST(LndsTest, PaperExample32) {
 }
 
 TEST(LndsTest, EmptyAndSingleton) {
-  EXPECT_EQ(LndsLength({}), 0);
+  std::vector<int32_t> tails;
+  EXPECT_EQ(LndsLength({}, tails), 0);
   EXPECT_TRUE(LndsIndices({}).empty());
-  EXPECT_EQ(LndsLength({7}), 1);
+  EXPECT_EQ(LndsLength(std::vector<int32_t>{7}, tails), 1);
   EXPECT_EQ(LndsIndices({7}), (std::vector<int32_t>{0}));
 }
 
 TEST(LndsTest, AllEqualIsNonDecreasing) {
   std::vector<int32_t> xs(10, 5);
-  EXPECT_EQ(LndsLength(xs), 10);
+  std::vector<int32_t> tails;
+  EXPECT_EQ(LndsLength(xs, tails), 10);
   EXPECT_TRUE(LndsComplement(xs).empty());
 }
 
 TEST(LndsTest, StrictlyDecreasingKeepsOne) {
-  EXPECT_EQ(LndsLength({5, 4, 3, 2, 1}), 1);
+  std::vector<int32_t> tails;
+  EXPECT_EQ(LndsLength(std::vector<int32_t>{5, 4, 3, 2, 1}, tails), 1);
   EXPECT_EQ(LndsComplement({5, 4, 3, 2, 1}).size(), 4u);
 }
 
 TEST(LndsTest, NonDecreasingVsStrictlyIncreasing) {
   std::vector<int32_t> xs = {1, 2, 2, 3, 3, 3};
-  EXPECT_EQ(LndsLength(xs), 6);
-  EXPECT_EQ(LisLength(xs), 3);
+  std::vector<int32_t> tails;
+  EXPECT_EQ(LndsLength(xs, tails), 6);
+  EXPECT_EQ(LisLength(xs, tails), 3);
 }
 
 TEST(LisTest, ClassicCases) {
-  EXPECT_EQ(LisLength({10, 9, 2, 5, 3, 7, 101, 18}), 4);
+  std::vector<int32_t> tails;
+  EXPECT_EQ(LisLength(std::vector<int32_t>{10, 9, 2, 5, 3, 7, 101, 18}, tails),
+            4);
   std::vector<int32_t> kept = LisIndices({10, 9, 2, 5, 3, 7, 101, 18});
   EXPECT_EQ(kept.size(), 4u);
   // Verify the reconstruction is strictly increasing in value & position.
@@ -122,7 +129,8 @@ TEST(LndsByTest, GenericMatchesSpecialized) {
         static_cast<int32_t>(xs.size()), [&](int32_t a, int32_t b) {
           return xs[static_cast<size_t>(a)] <= xs[static_cast<size_t>(b)];
         });
-    ASSERT_EQ(static_cast<int64_t>(generic.size()), LndsLength(xs));
+    std::vector<int32_t> tails;
+    ASSERT_EQ(static_cast<int64_t>(generic.size()), LndsLength(xs, tails));
     for (size_t i = 1; i < generic.size(); ++i) {
       ASSERT_LT(generic[i - 1], generic[i]);
       ASSERT_LE(xs[static_cast<size_t>(generic[i - 1])],
@@ -145,7 +153,8 @@ TEST_P(LndsPropertyTest, MatchesQuadraticOracle) {
       xs.push_back(static_cast<int32_t>(rng.UniformInt(0, cardinality - 1)));
     }
     int64_t expect = testing_util::LndsLengthNaive(xs);
-    ASSERT_EQ(LndsLength(xs), expect);
+    std::vector<int32_t> tails;
+    ASSERT_EQ(LndsLength(xs, tails), expect);
 
     std::vector<int32_t> kept = LndsIndices(xs);
     ASSERT_EQ(static_cast<int64_t>(kept.size()), expect);

@@ -83,6 +83,40 @@ TEST_P(ValidatorStressTest, AllValidatorsMutuallyConsistent) {
                                                   p.rows, full);
         ASSERT_GE(od.removal_size, optimal.removal_size);
 
+        // The size-only path discovery runs (packed keys, budgeted LNDS)
+        // agrees with the removal-set path: exactly without early exit,
+        // and with it a budget one short of the optimum stops with a
+        // removal size in (budget, exact].
+        for (bool polarity : {false, true}) {
+          ValidatorOptions with_rows = full;
+          with_rows.opposite_polarity = polarity;
+          for (auto validate : {ValidateAocOptimal, ValidateAodOptimal}) {
+            const int64_t exact =
+                validate(t, *partition, a, b, 1.0, p.rows, with_rows, nullptr)
+                    .removal_size;
+            ValidatorOptions size_only = with_rows;
+            size_only.collect_removal_set = false;
+            ValidationOutcome unbounded =
+                validate(t, *partition, a, b, 1.0, p.rows, size_only, nullptr);
+            ASSERT_EQ(unbounded.removal_size, exact);
+            ASSERT_TRUE(unbounded.removal_rows.empty());
+            size_only.early_exit = true;
+            ASSERT_EQ(validate(t, *partition, a, b, 1.0, p.rows, size_only,
+                               nullptr)
+                          .removal_size,
+                      exact);
+            if (exact == 0) continue;
+            const double short_epsilon = static_cast<double>(exact - 1) /
+                                         static_cast<double>(p.rows);
+            ValidationOutcome bounded = validate(
+                t, *partition, a, b, short_epsilon, p.rows, size_only, nullptr);
+            ASSERT_FALSE(bounded.valid);
+            ASSERT_TRUE(bounded.early_exit);
+            ASSERT_GT(bounded.removal_size, exact - 1);
+            ASSERT_LE(bounded.removal_size, exact);
+          }
+        }
+
         // OFD on top: removing the OD removal set must leave b
         // constant-per-(ctx+a)-class and swap-free; spot-check via the
         // exact validators on the reduced table for small inputs.

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
 
+#include "algo/lnds.h"
 #include "od/aoc_iterative_validator.h"
 #include "od/aoc_lis_validator.h"
 #include "od/oc_validator.h"
@@ -389,6 +392,229 @@ TEST_P(AocLargeAgreementTest, IterativeUpperBoundsOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AocLargeAgreementTest,
                          ::testing::Values(201, 202, 203, 204));
+
+// ------------------------------------------- Packed-key differential --
+//
+// The size-only LIS path orders classes by packed (rank_a, rank_b) keys
+// (radix or std::sort) and runs a budgeted LNDS; the removal-set path and
+// pairs wider than 32 key bits sort row ids with a comparator. Both are
+// checked against a test-local oracle: a comparator sort of each class by
+// [A ASC, sign*B ASC] (B DESC within A-ties for the OD variant) and the
+// complement of an LNDS of the projection.
+
+int64_t OracleRemovals(const EncodedTable& t,
+                       const StrippedPartition& partition, int a, int b,
+                       bool opposite, bool descending_ties) {
+  const auto& ranks_a = t.ranks(a);
+  const auto& ranks_b = t.ranks(b);
+  const int32_t sign = opposite ? -1 : 1;
+  int64_t removed = 0;
+  std::vector<int32_t> tails;
+  for (StrippedPartition::ClassSpan cls : partition.classes()) {
+    std::vector<int32_t> rows(cls.begin(), cls.end());
+    std::sort(rows.begin(), rows.end(), [&](int32_t s, int32_t u) {
+      const int32_t sa = ranks_a[static_cast<size_t>(s)];
+      const int32_t ua = ranks_a[static_cast<size_t>(u)];
+      if (sa != ua) return sa < ua;
+      const int32_t sb = sign * ranks_b[static_cast<size_t>(s)];
+      const int32_t ub = sign * ranks_b[static_cast<size_t>(u)];
+      return descending_ties ? sb > ub : sb < ub;
+    });
+    std::vector<int32_t> projection;
+    for (int32_t r : rows) {
+      projection.push_back(sign * ranks_b[static_cast<size_t>(r)]);
+    }
+    removed += static_cast<int64_t>(projection.size()) -
+               LndsLength(projection, tails);
+  }
+  return removed;
+}
+
+/// Runs both LIS validators on one candidate under every option
+/// combination and budget that matters, and checks each verdict against
+/// the oracle. Returns the number of validator calls checked.
+int CheckAgainstOracle(const EncodedTable& t,
+                       const StrippedPartition& partition, int a, int b,
+                       bool opposite) {
+  const int64_t n = t.num_rows();
+  int checked = 0;
+  for (bool od : {false, true}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "a=" << a << " b=" << b << " opposite=" << opposite
+                 << " od=" << od << " classes=" << partition.num_classes());
+    auto validate = od ? ValidateAodOptimal : ValidateAocOptimal;
+    const int64_t exact = OracleRemovals(t, partition, a, b, opposite, od);
+    // Budgets: unbounded, exactly the removal size (valid at the
+    // boundary), half of it and none (both early exits when exact > 0).
+    // The removal-set path is the slow comparator one; two budgets cover
+    // its exact and early-exit verdicts.
+    const int64_t budgets[] = {n, exact, exact / 2, 0};
+    for (int i = 0; i < 4; ++i) {
+      const int64_t max_removals = budgets[i];
+      const double epsilon =
+          n == 0 ? 0.0
+                 : static_cast<double>(max_removals) / static_cast<double>(n);
+      EXPECT_EQ(MaxRemovals(epsilon, n), max_removals);
+      for (bool collect : {false, true}) {
+        if (collect && i % 2 == 1) continue;
+        for (bool early_exit : {false, true}) {
+          ValidatorOptions options;
+          options.opposite_polarity = opposite;
+          options.collect_removal_set = collect;
+          options.early_exit = early_exit;
+          ValidatorScratch scratch;
+          ValidationOutcome out =
+              validate(t, partition, a, b, epsilon, n, options, &scratch);
+          ++checked;
+          SCOPED_TRACE(::testing::Message()
+                       << "max_removals=" << max_removals << " exact="
+                       << exact << " collect=" << collect
+                       << " early_exit=" << early_exit);
+          if (early_exit && exact > max_removals) {
+            EXPECT_TRUE(out.early_exit);
+            EXPECT_FALSE(out.valid);
+            EXPECT_GT(out.removal_size, max_removals);
+            EXPECT_LE(out.removal_size, exact);
+            continue;
+          }
+          EXPECT_FALSE(out.early_exit);
+          EXPECT_EQ(out.removal_size, exact);
+          EXPECT_EQ(out.valid, exact <= max_removals);
+          if (collect) {
+            EXPECT_EQ(static_cast<int64_t>(out.removal_rows.size()), exact);
+          }
+        }
+      }
+    }
+    if (!od) {
+      EXPECT_EQ(ValidateOcExact(t, partition, a, b, opposite), exact == 0);
+    }
+  }
+  return checked;
+}
+
+/// A column over [0, cardinality) with every value present, so its
+/// encoded cardinality is exactly `cardinality`.
+std::vector<int64_t> ColumnWithCardinality(int64_t rows, int64_t cardinality,
+                                           Rng* rng) {
+  std::vector<int64_t> out;
+  for (int64_t r = 0; r < rows; ++r) {
+    out.push_back(r < cardinality ? r : rng->UniformInt(0, cardinality - 1));
+  }
+  rng->Shuffle(&out);
+  return out;
+}
+
+/// Redistributes the values of `b` so that they ascend with `a`, then
+/// swaps the values of `swap_fraction * rows` random row pairs. Keeps b's
+/// multiset, hence its cardinality.
+std::vector<int64_t> FollowWithNoise(const std::vector<int64_t>& a,
+                                     std::vector<int64_t> b,
+                                     double swap_fraction, Rng* rng) {
+  std::vector<size_t> by_a(a.size());
+  for (size_t r = 0; r < a.size(); ++r) by_a[r] = r;
+  std::stable_sort(by_a.begin(), by_a.end(),
+                   [&](size_t s, size_t u) { return a[s] < a[u]; });
+  std::sort(b.begin(), b.end());
+  std::vector<int64_t> out(b.size());
+  for (size_t i = 0; i < by_a.size(); ++i) out[by_a[i]] = b[i];
+  const int64_t rows = static_cast<int64_t>(out.size());
+  const auto swaps =
+      static_cast<int64_t>(swap_fraction * static_cast<double>(rows));
+  for (int64_t k = 0; k < swaps; ++k) {
+    std::swap(out[static_cast<size_t>(rng->UniformInt(0, rows - 1))],
+              out[static_cast<size_t>(rng->UniformInt(0, rows - 1))]);
+  }
+  return out;
+}
+
+int RankBits(const EncodedTable& t, int column) {
+  const int32_t cardinality = t.column(column).cardinality;
+  return cardinality <= 1
+             ? 0
+             : std::bit_width(static_cast<uint32_t>(cardinality - 1));
+}
+
+// Pairs whose key needs 31, 32 (packed) and 33 (comparator) bits, under
+// contexts whose classes fall on both sides of the radix crossover,
+// including one clustered in A (its classes sort on fewer key bits).
+TEST(PackedKeyDifferentialTest, KeyWidthsAroundThe32BitLimit) {
+  constexpr int64_t kRows = 70000;
+  Rng rng(1601);
+  std::vector<std::vector<int64_t>> columns;
+  columns.push_back(ColumnWithCardinality(kRows, 40000, &rng));  // a
+  columns.push_back(ColumnWithCardinality(kRows, 20000, &rng));  // 15 bits
+  columns.push_back(ColumnWithCardinality(kRows, 40000, &rng));  // 16 bits
+  columns.push_back(ColumnWithCardinality(kRows, 66000, &rng));  // 17 bits
+  // b columns that mostly follow a, so removal sets stay small and the
+  // budgets land mid-class.
+  for (int c = 1; c <= 3; ++c) {
+    columns[static_cast<size_t>(c)] = FollowWithNoise(
+        columns[0], std::move(columns[static_cast<size_t>(c)]), 0.05, &rng);
+  }
+  columns.push_back(ColumnWithCardinality(kRows, 2, &rng));
+  columns.push_back(ColumnWithCardinality(kRows, 50, &rng));
+  columns.push_back(ColumnWithCardinality(kRows, 2000, &rng));
+  std::vector<int64_t> clustered;
+  for (int64_t v : columns[0]) clustered.push_back(v >> 10);
+  columns.push_back(std::move(clustered));
+  EncodedTable t = EncodedTableFromInts(
+      {"a", "b15", "b16", "b17", "c2", "c50", "c2000", "a_hi"}, columns);
+  ASSERT_EQ(RankBits(t, 0), 16);
+  ASSERT_EQ(RankBits(t, 0) + RankBits(t, 1), 31);
+  ASSERT_EQ(RankBits(t, 0) + RankBits(t, 2), 32);
+  ASSERT_EQ(RankBits(t, 0) + RankBits(t, 3), 33);
+
+  std::vector<StrippedPartition> contexts;
+  contexts.push_back(StrippedPartition::WholeRelation(kRows));
+  for (int c = 5; c < 8; ++c) {
+    contexts.push_back(StrippedPartition::FromColumn(t.column(c)));
+  }
+  int checked = 0;
+  for (const StrippedPartition& partition : contexts) {
+    for (int b = 1; b <= 3; ++b) {
+      for (bool opposite : {false, true}) {
+        checked += CheckAgainstOracle(t, partition, 0, b, opposite);
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4 * 3 * 2 * 2 * 12);
+}
+
+// Random small tables: cardinalities from 1 to the row count (so key
+// widths from 0 bits up), class sizes from 2 to the whole table.
+TEST(PackedKeyDifferentialTest, RandomTablesMatchTheOracle) {
+  Rng rng(1602);
+  int checked = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int64_t rows = rng.UniformInt(1, 3000);
+    std::vector<std::vector<int64_t>> columns;
+    for (int c = 0; c < 4; ++c) {
+      // Log-uniform cardinality in [1, rows].
+      const int64_t cardinality = std::max<int64_t>(
+          1, static_cast<int64_t>(std::pow(
+                 static_cast<double>(rows), rng.UniformDouble())));
+      columns.push_back(ColumnWithCardinality(rows, cardinality, &rng));
+    }
+    // Make b follow a up to some swaps, so that both valid and invalid
+    // verdicts occur.
+    columns[1] = FollowWithNoise(columns[0], std::move(columns[1]),
+                                 rng.UniformDouble() * 0.2, &rng);
+    EncodedTable t =
+        EncodedTableFromInts({"a", "b", "c", "d"}, columns);
+    PartitionCache cache(&t);
+    for (AttributeSet ctx : {AttributeSet(), AttributeSet::Of({2}),
+                             AttributeSet::Of({3}),
+                             AttributeSet::Of({2, 3})}) {
+      auto partition = cache.Get(ctx);
+      for (bool opposite : {false, true}) {
+        checked += CheckAgainstOracle(t, *partition, 0, 1, opposite);
+        checked += CheckAgainstOracle(t, *partition, 1, 0, opposite);
+      }
+    }
+  }
+  EXPECT_EQ(checked, 40 * 4 * 2 * 2 * 2 * 12);
+}
 
 // MaxRemovals boundary semantics.
 TEST(MaxRemovalsTest, FloorWithGuard) {
