@@ -47,6 +47,9 @@ struct DatasetSeries {
   std::string name;
   int64_t rows = 0;
   std::vector<ShardPoint> points;
+  /// Points whose counts diverged from the unsharded baseline or whose
+  /// shard_status was not OK.
+  int violations = 0;
 };
 
 DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
@@ -90,6 +93,7 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
       const bool deterministic = point.run.ocs == baseline_ocs &&
                                  point.run.ofds == baseline_ofds &&
                                  point.run.full.shard_status.ok();
+      if (!deterministic) ++series.violations;
       char label[28];
       if (shards == 0) {
         std::snprintf(label, sizeof(label), "unsharded");
@@ -179,6 +183,14 @@ int main(int argc, char** argv) {
   std::vector<DatasetSeries> all;
   all.push_back(RunDataset("flight", /*flight=*/true, 100000, &pool));
   all.push_back(RunDataset("ncvoter", /*flight=*/false, 100000, &pool));
-  if (json_path != nullptr) return WriteJson(json_path, all, threads);
+  if (json_path != nullptr && WriteJson(json_path, all, threads) != 0) {
+    return 1;
+  }
+  int violations = 0;
+  for (const DatasetSeries& series : all) violations += series.violations;
+  if (violations > 0) {
+    std::fprintf(stderr, "exp8: %d determinism violation(s)\n", violations);
+    return 1;
+  }
   return 0;
 }

@@ -27,11 +27,8 @@
 //                           runners; partitions and results cross the
 //                           shard seam in the checksummed CSR wire
 //                           format (identical output; 0 = unsharded)
-//     --shard-transport=T   inproc | socket | process: how the shard
-//                           seam moves bytes (identical output; process
-//                           spawns shard_runner_main per shard)
-//     --shard-runner=PATH   shard_runner_main binary for the process
-//                           transport (default: $AOD_SHARD_RUNNER)
+//     --shard-transport=T   inproc | socket: how the shard seam moves
+//                           bytes (identical output)
 //     --server=HOST:PORT    don't run locally: submit the job to a
 //                           running discovery_serve daemon and await
 //                           the result (identical output; deadline
@@ -86,7 +83,6 @@ struct Args {
   int64_t memory_budget_mb = 0;
   int shards = 0;
   ShardTransport shard_transport = ShardTransport::kInProcess;
-  std::string shard_runner;
   std::string server_host;
   uint16_t server_port = 0;
   double deadline_seconds = 0.0;
@@ -147,15 +143,15 @@ Args ParseArgs(int argc, char** argv) {
       args.shards = std::atoi(v);
     } else if (const char* v = value_of("--shard-transport=")) {
       std::string kind = v;
-      if (kind == "inproc") args.shard_transport = ShardTransport::kInProcess;
-      else if (kind == "socket") args.shard_transport = ShardTransport::kSocket;
-      else if (kind == "process") {
-        args.shard_transport = ShardTransport::kProcess;
+      if (kind == "inproc") {
+        args.shard_transport = ShardTransport::kInProcess;
+      } else if (kind == "socket") {
+        args.shard_transport = ShardTransport::kSocket;
       } else {
+        std::fprintf(stderr, "--shard-transport: want inproc or socket,"
+                             " got '%s'\n", v);
         args.ok = false;
       }
-    } else if (const char* v = value_of("--shard-runner=")) {
-      args.shard_runner = v;
     } else if (const char* v = value_of("--server=")) {
       std::string addr = v;
       size_t colon = addr.rfind(':');
@@ -221,7 +217,6 @@ int main(int argc, char** argv) {
   options.partition_memory_budget_bytes = args.memory_budget_mb << 20;
   options.num_shards = args.shards;
   options.shard_transport = args.shard_transport;
-  options.shard_runner_path = args.shard_runner;
 
   DiscoveryResult result;
   if (!args.server_host.empty()) {
@@ -249,9 +244,7 @@ int main(int argc, char** argv) {
                  "error: shard validation failed unrecoverably after "
                  "%lld retries (transport %s): %s\n",
                  static_cast<long long>(result.stats.shard_retries),
-                 args.shard_transport == ShardTransport::kProcess ? "process"
-                 : args.shard_transport == ShardTransport::kSocket ? "socket"
-                                                                   : "inproc",
+                 ShardTransportToString(args.shard_transport),
                  result.shard_status.ToString().c_str());
     return 1;
   }

@@ -204,7 +204,6 @@ struct Driver {
           options.partition_memory_budget_bytes;
       shard::ShardTransportOptions topts;
       topts.transport = options.shard_transport;
-      topts.runner_path = options.shard_runner_path;
       topts.io_timeout_seconds = options.shard_io_timeout_seconds;
       topts.channel_decorator = options.shard_channel_decorator;
       topts.supervision.max_retries = options.shard_max_retries;
@@ -550,9 +549,9 @@ struct Driver {
 
   void Run() {
     if (options.num_shards >= 1 && coordinator == nullptr) {
-      // Coordinator setup failed (bad runner path, spawn or connect
-      // error): a typed result, not a crash — nothing ran, so the empty
-      // result is the complete merge of zero levels.
+      // Coordinator setup failed (a connect or seeding error that
+      // survived supervision): a typed result, not a crash — nothing
+      // ran, so the empty result is the complete merge of zero levels.
       result.shard_status = coordinator_status;
       result.stats.total_seconds = total_clock.ElapsedSeconds();
       return;
@@ -672,10 +671,9 @@ struct Driver {
         // Receive-overlapped folding: outcomes land in their slots as
         // each result chunk decodes, while later shards' bytes are still
         // in flight — the slot keys are deterministic, so fold order
-        // never affects the merge below. Slots come from (possibly
-        // separate-process) runners, so they cross a trust boundary: a
-        // skewed or misbehaving runner must yield a typed abort, not a
-        // CHECK crash.
+        // never affects the merge below. Slots cross the wire, so they
+        // cross a trust boundary: a skewed or misbehaving runner must
+        // yield a typed abort, not a CHECK crash.
         Status fold_status;
         Status st = coordinator->ValidateBatch(
             wire, [this] { return OverBudget(); },
@@ -835,8 +833,8 @@ struct Driver {
       if (coordinator != nullptr) {
         // Shard caches enforce their own budgets batch by batch and
         // sample their own residency peaks; both fold in from the stats
-        // footers at Finish — the coordinator has no object access to a
-        // remote cache, so there is nothing to sample here.
+        // footers at Finish, the one path shard counters take, so there
+        // is nothing to sample here.
       } else if (options.partition_memory_budget_bytes > 0) {
         phase_clock.Restart();
         prefetch_group->Wait();
@@ -866,7 +864,7 @@ struct Driver {
     if (coordinator != nullptr) {
       // The shutdown handshake: every shard answers with its stats
       // footer, the single mechanism partition-side counters cross the
-      // seam by — in-process and remote runners alike.
+      // seam by, on every transport.
       Status finish = coordinator->Finish();
       if (result.shard_status.ok() && !finish.ok()) {
         result.shard_status = std::move(finish);
@@ -895,7 +893,6 @@ struct Driver {
           {shard::FrameType::kPartitionBlock, "partition"},
           {shard::FrameType::kCandidateBatch, "candidate"},
           {shard::FrameType::kResultBatch, "result"},
-          {shard::FrameType::kTableBlock, "table"},
       };
       for (const auto& [type, name] : kTypeNames) {
         const int64_t bytes = coordinator->frame_bytes(type);
@@ -942,8 +939,6 @@ const char* ShardTransportToString(ShardTransport transport) {
       return "inproc";
     case ShardTransport::kSocket:
       return "socket";
-    case ShardTransport::kProcess:
-      return "process";
   }
   return "?";
 }

@@ -69,18 +69,16 @@ const char* ValidatorKindToString(ValidatorKind kind);
 
 /// How candidate batches reach the shard runners when num_shards >= 1
 /// (src/shard/, "Shard transports" in ARCHITECTURE.md). Discovery output
-/// is bit-identical across all three — the transport moves bytes, the
-/// frames carry exact bit patterns, and the merge is key-ordered.
+/// is bit-identical across both — the transport moves bytes, the frames
+/// carry exact bit patterns, and the merge is key-ordered. Runners
+/// always live on the coordinator's pool.
 enum class ShardTransport {
-  /// Mutex/cv frame queues; runners on the shared pool (the default).
+  /// Mutex/cv frame queues (the default, and the supervised fallback).
   kInProcess = 0,
-  /// Localhost TCP between the coordinator and in-process runners: the
-  /// full byte-transport path (length framing, partial reads) without
-  /// process-spawn overhead.
+  /// Localhost TCP between the coordinator and its runners: the full
+  /// byte-transport path (length framing, partial reads, writer
+  /// threads).
   kSocket = 1,
-  /// One spawned shard_runner_main process per shard over localhost TCP;
-  /// the config, rank-encoded table and base partitions ship at startup.
-  kProcess = 2,
 };
 
 const char* ShardTransportToString(ShardTransport transport);
@@ -193,26 +191,21 @@ struct DiscoveryOptions {
   /// unsharded schedule (see ARCHITECTURE.md, "Sharded discovery").
   int num_shards = 0;
   /// Transport the shard seam runs over (only consulted when
-  /// num_shards >= 1). Output is bit-identical across transports; with
-  /// kProcess the time budget is only enforced between levels (remote
-  /// runners validate their batch to completion) and a transport
-  /// failure aborts the run with DiscoveryResult::shard_status set
-  /// instead of crashing.
+  /// num_shards >= 1). Output is bit-identical across transports, and a
+  /// transport fault is handled by the supervision ladder below.
   ShardTransport shard_transport = ShardTransport::kInProcess;
-  /// shard_runner_main binary for ShardTransport::kProcess; empty falls
-  /// back to the AOD_SHARD_RUNNER environment variable.
-  std::string shard_runner_path;
   /// Bound on every shard-seam connect/accept/receive, so a dead runner
   /// surfaces as a typed error instead of a hang. When a time budget is
   /// set, each wait is additionally clamped to the budget's remaining
   /// time, so a dead runner cannot overshoot a budgeted run.
   double shard_io_timeout_seconds = 300.0;
   /// Re-attempts allowed per shard per level: a failed attempt is torn
-  /// down and a fresh one — respawned process, reconnected socket —
-  /// is re-seeded from the coordinator's encode-once bootstrap frames
-  /// and the level is re-executed. Once the budget is spent, a socket or
-  /// process shard runs its slice in-process on the coordinator's pool
-  /// for the rest of the run; an in-process shard aborts the run. 0
+  /// down and a fresh one — new channels and runner, a reconnected
+  /// socket on kSocket — is re-seeded from the coordinator's encode-once
+  /// bootstrap frames and the level is re-executed. Once the budget is
+  /// spent, a socket shard runs its slice in-process on the
+  /// coordinator's pool for the rest of the run; an in-process shard
+  /// aborts the run. 0
   /// disables ALL supervision (retry and fallback): any shard fault is
   /// the typed fail-stop abort via DiscoveryResult::shard_status,
   /// exactly the pre-supervision behavior. Output stays bit-identical
@@ -277,8 +270,9 @@ struct DiscoveryResult {
   /// leaves (timed_out is typically also set — the two flags share the
   /// wind-down path; `cancelled` says who pulled the trigger).
   bool cancelled = false;
-  /// OK unless a shard-transport failure (runner died, frame corrupted,
-  /// receive timed out, spawn failed) aborted the run. On failure the
+  /// OK unless a shard-transport failure (frame torn or corrupted,
+  /// receive timed out, connect failed) survived the supervision ladder
+  /// — or struck in strict mode — and aborted the run. On failure the
   /// dependency list is the complete merge of every level finished
   /// before the fault — never a partially merged level.
   Status shard_status;

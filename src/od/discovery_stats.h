@@ -67,8 +67,8 @@ struct DiscoveryStats {
   /// Level re-attempts across all shards (each respawn-and-re-execute
   /// after a fault counts once).
   int64_t shard_retries = 0;
-  /// Fresh transport attempts built after the first per shard —
-  /// respawned processes / reconnected sockets.
+  /// Fresh transport attempts built after the first per shard (a
+  /// reconnected socket pair and a new runner each).
   int64_t shard_respawns = 0;
   /// Shards that degraded to in-process execution after retry
   /// exhaustion and stayed there for the rest of the run.

@@ -5,10 +5,10 @@
 // in one direction; a coordinator/runner pair uses two — an inbox and an
 // outbox — or one full-duplex stream endpoint serving as both. The
 // interface is deliberately minimal (send, blocking receive, close) so
-// that the in-process queue, the localhost TCP socket and the process
-// pipes are interchangeable without touching the coordinator, the
-// runner, or any encoder: everything protocol-level lives in the frames
-// themselves (versioning, typing, checksums).
+// that the in-process queue and the localhost TCP socket are
+// interchangeable without touching the coordinator, the runner, or any
+// encoder: everything protocol-level lives in the frames themselves
+// (versioning, typing, checksums).
 //
 // Shutdown contract (all implementations):
 //   - Close() stops further sends; frames already accepted remain
@@ -169,14 +169,13 @@ class InProcessChannel final : public ShardChannel {
   bool closed_ = false;
 };
 
-/// Full-duplex stream transport over a pair of file descriptors —
-/// a connected localhost TCP socket (the off-box seam) or a pipe pair
-/// (the stdio mode of shard_runner_main). Frames are length-delimited
-/// by their own wire header: Receive reads the 24-byte header, sanity-
-/// checks magic/version/declared size against max_frame_bytes, then
-/// reads exactly the payload, handling partial reads and EINTR; a byte
-/// stream that ends mid-frame yields kIoError ("EOF mid-frame"), a
-/// clean EOF at a frame boundary yields kClosed.
+/// Full-duplex stream transport over one connected stream socket —
+/// localhost TCP, or one end of a Unix socketpair. Frames are
+/// length-delimited by their own wire header: Receive reads the 24-byte
+/// header, sanity-checks magic/version/declared size against
+/// max_frame_bytes, then reads exactly the payload, handling partial
+/// reads and EINTR; a byte stream that ends mid-frame yields kIoError
+/// ("EOF mid-frame"), a clean EOF at a frame boundary yields kClosed.
 ///
 /// Send never blocks on the peer: frames are handed to a dedicated
 /// writer thread with an unbounded queue, so a coordinator and an
@@ -187,10 +186,9 @@ class InProcessChannel final : public ShardChannel {
 /// The destructor lets the writer drain its queue while the peer keeps
 /// reading. Once no byte has been written for the receive timeout
 /// (capped at kMaxDrainStallSeconds, which also applies when the
-/// timeout is 0), a socket is shut down in both directions, which fails
-/// the blocked write, so tearing down a link whose peer stopped reading
-/// is bounded. A pipe has no shutdown: its writer drains unbounded (the
-/// pipe mode is a runner child process, which its coordinator reaps).
+/// timeout is 0), the socket is shut down in both directions, which
+/// fails the blocked write, so tearing down a link whose peer stopped
+/// reading is bounded.
 class SocketShardChannel final : public ShardChannel {
  public:
   /// Connects to host:port (blocking, bounded by timeout_seconds).
@@ -198,14 +196,9 @@ class SocketShardChannel final : public ShardChannel {
       const std::string& host, uint16_t port, double timeout_seconds,
       ChannelOptions options = {});
 
-  /// Wraps an already-connected socket; takes ownership of `fd`.
+  /// Wraps an already-connected stream socket; takes ownership of `fd`.
   static std::unique_ptr<SocketShardChannel> Adopt(int fd,
                                                    ChannelOptions options = {});
-
-  /// Wraps a read fd and a write fd (e.g. stdin/stdout of a runner
-  /// process, or the ends of two pipes); takes ownership of both.
-  static std::unique_ptr<SocketShardChannel> AdoptPair(
-      int read_fd, int write_fd, ChannelOptions options = {});
 
   static constexpr double kMaxDrainStallSeconds = 10.0;
 
@@ -227,8 +220,7 @@ class SocketShardChannel final : public ShardChannel {
   int64_t send_backlog_bytes() const;
 
  private:
-  SocketShardChannel(int read_fd, int write_fd, bool is_socket,
-                     ChannelOptions options);
+  SocketShardChannel(int fd, ChannelOptions options);
 
   /// Runs Drain, then flags writer_done_ for the destructor.
   void WriterLoop();
@@ -242,11 +234,7 @@ class SocketShardChannel final : public ShardChannel {
   Status ReadFully(uint8_t* out, size_t size, size_t* got);
 
   const ChannelOptions options_;
-  const int read_fd_;
-  const int write_fd_;
-  /// Same fd on both sides and shutdown(SHUT_WR) applies (TCP); pipes
-  /// close the write fd instead.
-  const bool is_socket_;
+  const int fd_;
   /// Self-pipe: Close() writes a byte so a Receive blocked in poll on
   /// this endpoint wakes immediately with kClosed.
   int wake_fds_[2] = {-1, -1};
@@ -256,10 +244,6 @@ class SocketShardChannel final : public ShardChannel {
   std::deque<std::vector<uint8_t>> outgoing_;
   Status write_status_;
   bool closed_ = false;
-  /// Set by WriterLoop when the pipe-mode orderly drain closed
-  /// write_fd_ itself (pipes have no half-close); tells the destructor
-  /// not to close the fd number a second time.
-  bool write_fd_closed_ = false;
   int64_t bytes_sent_ = 0;
   int64_t bytes_received_ = 0;
   /// Enqueued-but-unwritten bytes, including a frame mid-write; zeroed
@@ -290,8 +274,8 @@ struct LoopbackChannelPair {
 Result<LoopbackChannelPair> ConnectLoopbackPair(double timeout_seconds,
                                                 ChannelOptions options = {});
 
-/// Accepts coordinator-side connections for socket/process transports
-/// and for the serving layer. Binds 127.0.0.1 on an ephemeral port (or
+/// Accepts coordinator-side connections for the socket transport and
+/// for the serving layer. Binds 127.0.0.1 on an ephemeral port (or
 /// a requested one); never listens off-loopback.
 class SocketListener {
  public:

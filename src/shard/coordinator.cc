@@ -1,15 +1,9 @@
 #include "shard/coordinator.h"
 
-#include <sys/wait.h>
-
-#include <chrono>
-#include <csignal>
-#include <thread>
 #include <utility>
 
 #include "common/macros.h"
 #include "exec/task_group.h"
-#include "exec/thread_pool.h"
 #include "partition/attribute_set.h"
 #include "partition/stripped_partition.h"
 
@@ -41,11 +35,6 @@ Status ShardCoordinator::Init(int num_shards,
   // in-process fallback, so re-seeding costs sends, not re-encodes.
   bootstrap_.table = table_;
   bootstrap_.runner_options = runner_options;
-  bootstrap_.num_shards = num_shards;
-  bootstrap_.pool_workers = pool_ != nullptr ? pool_->num_workers() : 1;
-  if (transport_.transport == ShardTransport::kProcess) {
-    bootstrap_.table_frame = EncodeTableBlock(*table_);
-  }
   // One kPartitionBlock per base (level-1) partition, shipped to every
   // shard as a single kBatch envelope — one syscall per seeding instead
   // of one per base. Socket sends are buffered by the channel's writer
@@ -136,63 +125,6 @@ Status ShardCoordinator::ValidateBatch(
   return Status::OK();
 }
 
-void ShardCoordinator::ReapAll(std::vector<ShardReapJob> jobs,
-                               const std::function<void(Status)>& record) {
-  if (jobs.empty()) return;
-  // ONE deadline for the whole fleet: a healthy child exits after
-  // answering the shutdown (or on EOF once its socket closed); the
-  // wedged ones — stuck without reading, so they never see EOF — are
-  // all killed in a single escalation pass once the shared deadline
-  // lapses, so shutdown costs at most one I/O timeout total, not one
-  // per child.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(transport_.io_timeout_seconds));
-  std::vector<char> done(jobs.size(), 0);
-  size_t remaining = jobs.size();
-  bool escalated = false;
-  while (remaining > 0) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (done[i]) continue;
-      int wstatus = 0;
-      // After the SIGKILL pass the waits block — SIGKILL converges, so
-      // they cannot hang.
-      const pid_t reaped =
-          ::waitpid(jobs[i].pid, &wstatus, escalated ? 0 : WNOHANG);
-      if (reaped == 0) continue;
-      done[i] = 1;
-      --remaining;
-      if (reaped < 0) {
-        record(Status::IoError("waitpid failed for shard runner"));
-        continue;
-      }
-      const bool killed_here = escalated && WIFSIGNALED(wstatus) &&
-                               WTERMSIG(wstatus) == SIGKILL;
-      if (!killed_here &&
-          (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)) {
-        record(Status::Internal(
-            "shard runner exited abnormally (status " +
-            std::to_string(WIFEXITED(wstatus) ? WEXITSTATUS(wstatus)
-                                              : -WTERMSIG(wstatus)) +
-            ")"));
-      }
-    }
-    if (remaining == 0 || escalated) break;
-    if (std::chrono::steady_clock::now() >= deadline) {
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (done[i]) continue;
-        ::kill(jobs[i].pid, SIGKILL);
-        record(Status::Internal(
-            "shard runner unresponsive at shutdown; killed"));
-      }
-      escalated = true;
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
 Status ShardCoordinator::Finish() {
   if (finished_) return finish_status_;
   finished_ = true;
@@ -206,7 +138,6 @@ Status ShardCoordinator::Finish() {
   // (footers_missing). The supervisor methods themselves return OK for
   // tolerated faults, so `record` only ever sees strict-mode errors and
   // genuine supervised-mode breakage.
-  const auto swallow = [](Status) {};
 
   // Shutdown handshake, pushed to every shard even if one fails — each
   // link must reach its terminal state before the channels close.
@@ -229,15 +160,6 @@ Status ShardCoordinator::Finish() {
   }
   for (auto& sup : supervisors_) {
     sup->CloseChannels();
-  }
-  std::vector<ShardReapJob> jobs;
-  for (auto& sup : supervisors_) {
-    sup->ReleaseProcesses(&jobs);
-  }
-  if (strict()) {
-    ReapAll(std::move(jobs), record);
-  } else {
-    ReapAll(std::move(jobs), swallow);
   }
   finish_status_ = result;
   return finish_status_;

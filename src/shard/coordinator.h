@@ -2,17 +2,15 @@
 // discovery in the spirit of Saxena et al. [8]).
 //
 // The coordinator owns N shard *supervisors* — each managing a live
-// runner attempt in this process or in a child process — and the
-// shard-assignment rule. The discovery driver keeps its lattice,
+// runner attempt on the coordinator's pool — and the shard-assignment
+// rule. The discovery driver keeps its lattice,
 // planning phase and serial key-ordered merge; only candidate
 // validation crosses the seam:
 //
 //   construction    every base (level-1) partition is serialized once
 //                   into the shared ShardBootstrap and shipped to every
 //                   shard as kPartitionBlock frames — shard caches are
-//                   wire-seeded, never table-derived. Process runners
-//                   additionally receive a kConfigBlock and a
-//                   kTableBlock first (they share nothing). The same
+//                   wire-seeded, never table-derived. The same
 //                   encoded frames re-seed every respawned attempt;
 //   per level       candidates are split by ShardOf(context) — all
 //                   candidates sharing a context land on one shard, so
@@ -28,19 +26,17 @@
 //                   in-process execution instead of aborting the run;
 //   Finish()        the shutdown handshake: a kShutdown frame per
 //                   shard, answered by the kStatsFooter terminal frame
-//                   carrying the shard's counters, then one
-//                   shared-deadline reap pass over every runner process.
+//                   carrying the shard's counters, then the links close.
 //
-// Transports (ShardTransportOptions::transport):
-//   kInProcess  mutex/cv frame queues; runners on the shared pool.
-//   kSocket     localhost TCP between coordinator and in-process
-//               runners — the full byte-transport path (length framing,
-//               partial reads, writer threads) without process overhead.
-//   kProcess    one spawned shard_runner_main per shard, connected over
-//               localhost TCP; validation parallelism across processes.
+// Transports (ShardTransportOptions::transport); runners always run on
+// the shared pool:
+//   kInProcess  mutex/cv frame queues.
+//   kSocket     localhost TCP between coordinator and runners — the
+//               full byte-transport path (length framing, partial
+//               reads, writer threads).
 //
 // Failure contract: with supervision off (supervision.max_retries == 0,
-// "strict mode") any transport, decode or process failure surfaces as a
+// "strict mode") any transport or decode failure surfaces as a
 // typed non-OK Status from Create/ValidateBatch/Finish — never a hang
 // (receives are timeout-bounded) and never a partially-applied batch.
 // With supervision on, a failure surfaces only after the per-level
@@ -56,16 +52,13 @@
 // ascending slots within a shard — so sharded discovery output is
 // bit-identical to the unsharded run for any shard count, any thread
 // count, any transport, and any fault schedule that completes (gated by
-// tests/parallel_determinism_test, tests/shard_supervisor_test and
-// tests/shard_process_e2e_test).
+// tests/parallel_determinism_test and tests/shard_supervisor_test).
 #ifndef AOD_SHARD_COORDINATOR_H_
 #define AOD_SHARD_COORDINATOR_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <sys/types.h>
 #include <vector>
 
 #include "common/status.h"
@@ -83,15 +76,12 @@ class ThreadPool;
 
 namespace shard {
 
-// ShardTransport (the {inproc, socket, process} selector) lives in
+// ShardTransport (the {inproc, socket} selector) lives in
 // od/discovery.h next to the other DiscoveryOptions vocabulary — this
 // header reaches it through shard_runner.h.
 
 struct ShardTransportOptions {
   ShardTransport transport = ShardTransport::kInProcess;
-  /// Path to the shard_runner_main binary (process transport). Empty
-  /// falls back to the AOD_SHARD_RUNNER environment variable.
-  std::string runner_path;
   /// Bound on connects, accepts and every frame receive. A shard that
   /// dies silently surfaces as a typed timeout, never a hang. Clamped
   /// per wait to the time remaining before supervision.run_deadline
@@ -113,10 +103,9 @@ struct ShardTransportOptions {
 class ShardCoordinator {
  public:
   /// Creates `num_shards` supervised runners over the selected transport
-  /// and ships the base partitions (plus config + table for process
-  /// runners). `pool` (nullable) runs in-process shard work; both
-  /// `table` and `pool` are borrowed and must outlive the coordinator.
-  /// Fails with a typed Status on any transport or spawn error that
+  /// and ships the base partitions. `pool` (nullable) runs the shard
+  /// work; both `table` and `pool` are borrowed and must outlive the
+  /// coordinator. Fails with a typed Status on any transport error that
   /// survives the supervision ladder.
   static Result<std::unique_ptr<ShardCoordinator>> Create(
       const EncodedTable* table, int num_shards,
@@ -151,13 +140,10 @@ class ShardCoordinator {
 
   /// The shutdown handshake: ships kShutdown to every shard, collects
   /// the kStatsFooter terminal frames (validating served-frame count
-  /// and attempt id), closes the links, and reaps every runner process
-  /// against ONE shared deadline — a fleet of wedged children costs one
-  /// I/O timeout total, not one per child — with a single SIGKILL
-  /// escalation pass. Idempotent; the footer-backed accessors below are
-  /// meaningful once this returned. Called by the destructor if the
-  /// owner did not (best-effort, status swallowed). In supervised mode
-  /// a lost footer or abnormal child exit is tolerated and counted
+  /// and attempt id) and closes the links. Idempotent; the footer-backed
+  /// accessors below are meaningful once this returned. Called by the
+  /// destructor if the owner did not (best-effort, status swallowed).
+  /// In supervised mode a lost footer is tolerated and counted
   /// (footers_missing) — the merged results are already correct.
   Status Finish();
 
@@ -194,13 +180,6 @@ class ShardCoordinator {
                    exec::ThreadPool* pool);
 
   Status Init(int num_shards, const ShardRunnerOptions& runner_options);
-  bool strict() const {
-    return transport_.supervision.max_retries <= 0;
-  }
-  /// The shared-deadline reap pass (see Finish). Errors are recorded
-  /// through `record` in strict mode only.
-  void ReapAll(std::vector<ShardReapJob> jobs,
-               const std::function<void(Status)>& record);
 
   const EncodedTable* table_;
   const ShardTransportOptions transport_;

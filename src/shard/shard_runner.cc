@@ -35,9 +35,7 @@ ShardRunner::ShardRunner(int shard_id, const EncodedTable* table,
   }
 }
 
-Status ShardRunner::ServeOne(const std::function<bool()>& cancel,
-                             bool* shutdown) {
-  if (shutdown != nullptr) *shutdown = false;
+Status ShardRunner::ServeOne(const std::function<bool()>& cancel) {
   AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, receiver_.Receive());
   AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
   ++frames_served_;
@@ -47,11 +45,9 @@ Status ShardRunner::ServeOne(const std::function<bool()>& cancel,
     case FrameType::kCandidateBatch:
       return HandleCandidateBatch(frame, cancel);
     case FrameType::kShutdown:
-      if (shutdown != nullptr) *shutdown = true;
       return HandleShutdown();
     case FrameType::kResultBatch:
     case FrameType::kTableBlock:
-    case FrameType::kConfigBlock:
     case FrameType::kStatsFooter:
     case FrameType::kBatch:  // the receiver already unwrapped envelopes
     case FrameType::kJobSubmit:  // serve-layer vocabulary; never shard-bound
@@ -62,14 +58,6 @@ Status ShardRunner::ServeOne(const std::function<bool()>& cancel,
       break;
   }
   return Status::InvalidArgument("unexpected frame type on shard inbox");
-}
-
-Status ShardRunner::Serve(const std::function<bool()>& cancel) {
-  for (;;) {
-    bool shutdown = false;
-    AOD_RETURN_NOT_OK(ServeOne(cancel, &shutdown));
-    if (shutdown) return Status::OK();
-  }
 }
 
 Status ShardRunner::HandlePartitionBlock(const DecodedFrame& frame) {

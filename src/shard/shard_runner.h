@@ -9,11 +9,9 @@
 // and answered with one kResultBatch frame carrying exact bit patterns
 // of every outcome field.
 //
-// In-process runners share the EncodedTable by pointer — rank columns are
-// immutable — while everything candidate- or partition-shaped crosses the
-// channel as bytes. That keeps the seam honest: promoting a runner to its
-// own process requires shipping the encoded columns once at startup and
-// swapping the channel implementation, nothing else.
+// Runners share the EncodedTable by pointer — rank columns are immutable
+// — while everything candidate- or partition-shaped crosses the channel
+// as bytes.
 //
 // Determinism: a runner's outcomes are pure functions of (table, batch,
 // shipped base partitions) — canonical partition values make the derived
@@ -50,10 +48,10 @@ namespace shard {
 /// subset of DiscoveryOptions, fixed for the lifetime of the run.
 struct ShardRunnerOptions {
   ValidatorKind validator = ValidatorKind::kOptimal;
-  /// Which supervised (re)establishment this runner serves (see
-  /// WireRunnerConfig::attempt_id); echoed in the stats footer so the
-  /// coordinator can reject a superseded attempt's footer. Validation
-  /// outcomes never depend on it.
+  /// Which supervised (re)establishment this runner serves: 1 for the
+  /// first attempt, bumped by the supervisor on every respawn. Echoed in
+  /// the stats footer so the coordinator can reject a superseded
+  /// attempt's footer. Validation outcomes never depend on it.
   uint32_t attempt_id = 0;
   /// Raw threshold; the runner zeroes it for the exact validator, same
   /// as the discovery driver.
@@ -91,23 +89,14 @@ class ShardRunner {
   ///                      more kResultBatch chunks — the last one
   ///                      carrying the final-chunk flag — then enforce
   ///                      the per-shard budget;
-  ///   kShutdown        — reply with the kStatsFooter terminal frame and
-  ///                      set `*shutdown` (when given): the conversation
-  ///                      is over and no further frame should be served.
-  /// Any decode or channel failure surfaces as a non-OK Status.
-  Status ServeOne(const std::function<bool()>& cancel = {},
-                  bool* shutdown = nullptr);
-
-  /// Serves frames until the shutdown handshake or a failure. The serve
-  /// loop of shard_runner_main; in-process coordinators call ServeOne to
-  /// keep the one-frame-per-level cadence instead.
-  Status Serve(const std::function<bool()>& cancel = {});
+  ///   kShutdown        — reply with the kStatsFooter terminal frame;
+  ///                      the conversation is over.
+  /// Any decode or channel failure surfaces as a non-OK Status. The
+  /// supervisor calls this once per frame it ships, which keeps the
+  /// one-frame-per-level cadence.
+  Status ServeOne(const std::function<bool()>& cancel = {});
 
   int shard_id() const { return shard_id_; }
-  /// Logical frames served so far (the footer's cross-check counter);
-  /// exposed so shard_runner_main's crash-injection test seam can die at
-  /// a deterministic point in the conversation.
-  int64_t frames_served() const { return frames_served_; }
   /// Shard-local cache observability, aggregated by the coordinator into
   /// DiscoveryStats.
   const PartitionCache& cache() const { return cache_; }

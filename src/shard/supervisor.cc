@@ -1,22 +1,12 @@
 #include "shard/supervisor.h"
 
-#include <spawn.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <thread>
 #include <utility>
 
 #include "common/macros.h"
-#include "exec/thread_pool.h"
 #include "shard/coordinator.h"
-
-extern char** environ;
 
 namespace aod {
 namespace shard {
@@ -56,8 +46,7 @@ ShardSupervisor::ShardSupervisor(int shard_id,
 
 ShardSupervisor::~ShardSupervisor() {
   // Owners run the Finish sequence first; this is the last-resort path
-  // (e.g. a failed Create) — kill and reap whatever is still alive so a
-  // supervisor never leaks a child.
+  // (e.g. a failed Create).
   Teardown(&current_);
 }
 
@@ -144,71 +133,6 @@ Status ShardSupervisor::BuildAttempt(bool force_inproc,
                                                 a->runner_side.get(), pool_);
       break;
     }
-    case ShardTransport::kProcess: {
-      std::string path = transport_->runner_path;
-      if (path.empty()) {
-        const char* env = std::getenv("AOD_SHARD_RUNNER");
-        if (env != nullptr) path = env;
-      }
-      if (path.empty()) {
-        return Status::InvalidArgument(
-            "process transport needs ShardTransportOptions::runner_path or "
-            "$AOD_SHARD_RUNNER");
-      }
-      // Every attempt binds its own ephemeral listener: a respawn must
-      // never adopt a torn-down attempt's late connection out of a
-      // shared accept queue.
-      AOD_ASSIGN_OR_RETURN(std::unique_ptr<SocketListener> listener,
-                           SocketListener::Bind());
-      const std::string endpoint =
-          "--connect=127.0.0.1:" + std::to_string(listener->port());
-      const std::string timeout =
-          "--timeout=" + std::to_string(BoundedIoTimeout());
-      char* argv[] = {const_cast<char*>(path.c_str()),
-                      const_cast<char*>(endpoint.c_str()),
-                      const_cast<char*>(timeout.c_str()), nullptr};
-      pid_t pid = -1;
-      const int rc =
-          ::posix_spawn(&pid, path.c_str(), nullptr, nullptr, argv, environ);
-      if (rc != 0) {
-        return Status::IoError("cannot spawn shard runner '" + path +
-                               "': " + std::strerror(rc));
-      }
-      a->pid = pid;
-      AOD_ASSIGN_OR_RETURN(int accepted_fd,
-                           listener->AcceptFd(BoundedIoTimeout()));
-      a->to = Decorate(SocketShardChannel::Adopt(accepted_fd, copts));
-      a->to_shard = a->to.get();
-      a->from_shard = a->to.get();
-
-      // Bootstrap frames the runner process consumes before its serve
-      // loop: the validation config (stamped with this attempt's id),
-      // then the rank-encoded table — both re-sent verbatim from the
-      // coordinator's encode-once bootstrap on every respawn.
-      WireRunnerConfig config;
-      config.shard_id = static_cast<uint32_t>(shard_id_);
-      config.attempt_id = a->id;
-      config.validator = static_cast<uint8_t>(ropts.validator);
-      config.epsilon = ropts.epsilon;
-      config.collect_removal_sets = ropts.collect_removal_sets;
-      config.enable_sampling_filter = ropts.enable_sampling_filter;
-      config.sampler_sample_size = ropts.sampler_config.sample_size;
-      config.sampler_reject_margin = ropts.sampler_config.reject_margin;
-      config.sampler_seed = ropts.sampler_config.seed;
-      config.partition_memory_budget_bytes =
-          ropts.partition_memory_budget_bytes;
-      config.kinds = ropts.kinds.bits();
-      config.afd_error = ropts.afd_error;
-      // N children each as wide as the coordinator would oversubscribe
-      // the machine N-fold; give each its slice of the pool instead.
-      config.num_threads = static_cast<uint32_t>(
-          std::max(1, bootstrap_->pool_workers / bootstrap_->num_shards));
-      AOD_RETURN_NOT_OK(a->to_shard->Send(EncodeConfigBlock(config)));
-      AOD_RETURN_NOT_OK(a->to_shard->Send(bootstrap_->table_frame));
-      AddFrameBytes(FrameType::kTableBlock,
-                    static_cast<int64_t>(bootstrap_->table_frame.size()));
-      break;
-    }
   }
   a->receiver = std::make_unique<LogicalFrameReceiver>(a->from_shard);
   if (a->id > 1 && !a->fallback) ++respawns_;
@@ -223,10 +147,8 @@ Status ShardSupervisor::SeedAttempt(Attempt* attempt,
   // cross-check compares against frames_served.
   attempt->frames_sent += bootstrap_->base_frames;
   AddFrameBytes(FrameType::kPartitionBlock, bootstrap_->base_frame_bytes);
-  if (attempt->runner != nullptr) {
-    for (int i = 0; i < bootstrap_->base_frames; ++i) {
-      AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
-    }
+  for (int i = 0; i < bootstrap_->base_frames; ++i) {
+    AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
   }
   return Status::OK();
 }
@@ -235,9 +157,9 @@ Status ShardSupervisor::EstablishCurrent(bool force_inproc,
                                          const std::function<bool()>& cancel) {
   std::unique_ptr<Attempt> attempt;
   const Status built = BuildAttempt(force_inproc, &attempt);
-  // Installed even on failure: a half-built attempt may hold a spawned
-  // pid that strict-mode Finish must still reap (supervised retries
-  // tear it down instead).
+  // Installed even on failure: strict-mode Finish still walks a
+  // half-built attempt's channels (supervised retries tear it down
+  // instead).
   {
     std::lock_guard<std::mutex> lock(attempts_mutex_);
     current_ = std::move(attempt);
@@ -254,9 +176,7 @@ Status ShardSupervisor::ExecuteLevelOnce(
   AOD_RETURN_NOT_OK(attempt->to_shard->Send(std::move(candidates)));
   ++attempt->frames_sent;
   AddFrameBytes(FrameType::kCandidateBatch, candidate_bytes);
-  if (attempt->runner != nullptr) {
-    AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
-  }
+  AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
   // Chunked reply: a well-formed reply is at most |batch|+1 chunks
   // (every chunk but the final carries at least one outcome), so a
   // babbling runner is a typed protocol error, not a loop.
@@ -327,15 +247,6 @@ void ShardSupervisor::DestroyAttempt(std::unique_ptr<Attempt> attempt) {
     }
   }
   if (attempt->runner_side != nullptr) attempt->runner_side->Close();
-  if (attempt->pid >= 0) {
-    // A torn-down child is not asked nicely: it may be wedged mid-frame,
-    // and its replacement is already on the way. SIGKILL converges, so
-    // the blocking reap cannot hang.
-    ::kill(attempt->pid, SIGKILL);
-    int wstatus = 0;
-    ::waitpid(attempt->pid, &wstatus, 0);
-    attempt->pid = -1;
-  }
   int64_t bytes = 0;
   if (attempt->to_shard != nullptr) bytes += attempt->to_shard->bytes_sent();
   if (attempt->from_shard != nullptr) {
@@ -361,7 +272,7 @@ Status ShardSupervisor::Start() {
     }
     st = EstablishCurrent(/*force_inproc=*/false, {});
     if (st.ok()) return st;
-    if (strict()) return st;  // partial attempt stays for the Finish reap
+    if (strict()) return st;  // partial attempt stays for Finish
     Teardown(&current_);
     if (DeadlineExpired()) return st;
     if (attempt_try >= supervision_.max_retries) {
@@ -533,14 +444,6 @@ void ShardSupervisor::CloseChannels() {
   if (a == nullptr || a->to_shard == nullptr) return;
   a->to_shard->Close();
   if (a->from_shard != a->to_shard) a->from_shard->Close();
-}
-
-void ShardSupervisor::ReleaseProcesses(std::vector<ShardReapJob>* jobs) {
-  std::lock_guard<std::mutex> lock(attempts_mutex_);
-  Attempt* a = current_.get();
-  if (a == nullptr || a->pid < 0) return;
-  jobs->push_back(ShardReapJob{a->pid});
-  a->pid = -1;
 }
 
 int64_t ShardSupervisor::bytes_shipped() const {

@@ -8,21 +8,21 @@
 // level as one supervised attempt:
 //
 //   retry / respawn   a failed level (or failed establishment) tears the
-//                     attempt down and builds a fresh one — new process
-//                     or socket, re-seeded from the coordinator's
+//                     attempt down and builds a fresh one — new channels
+//                     and runner (a reconnected socket pair on the socket
+//                     transport), re-seeded from the coordinator's
 //                     encode-once bootstrap frames — after an
 //                     exponential backoff with deterministic jitter,
 //                     up to max_retries re-attempts per level;
 //   degradation       once the retry budget is exhausted on the socket
-//                     or process transport, the shard's candidate slice
-//                     executes in-process on the coordinator's pool (an
+//                     transport, the shard's candidate slice executes
+//                     in-process on the coordinator's pool (an
 //                     undecorated InProcessChannel attempt seeded from
 //                     the same bootstrap frames) instead of aborting.
 //
-// Attempt identity crosses the wire: each (re)establishment carries a
-// fresh attempt_id in its config block, echoed by the runner's stats
-// footer, so a superseded attempt's footer is distinguishable from the
-// live one.
+// Attempt identity crosses the wire: each (re)establishment hands its
+// runner a fresh attempt_id, echoed in the runner's stats footer, so a
+// superseded attempt's footer is distinguishable from the live one.
 //
 // Strict mode: max_retries == 0 disables retry and fallback and
 // preserves the PR 5/6 failure contract exactly — any fault is a typed
@@ -37,8 +37,6 @@
 // called concurrently with another on the same supervisor.
 #ifndef AOD_SHARD_SUPERVISOR_H_
 #define AOD_SHARD_SUPERVISOR_H_
-
-#include <sys/types.h>
 
 #include <atomic>
 #include <chrono>
@@ -68,8 +66,8 @@ struct ShardTransportOptions;
 /// user-facing knobs).
 struct ShardSupervisionOptions {
   /// Re-attempts allowed per level (and for the initial establishment)
-  /// before the shard degrades to in-process execution (socket/process
-  /// transports) or the run aborts (in-process transport). 0 = strict
+  /// before the shard degrades to in-process execution (socket
+  /// transport) or the run aborts (in-process transport). 0 = strict
   /// mode: no retry, no fallback — the PR 5 fail-stop contract.
   int max_retries = 2;
   /// Base backoff before the first re-attempt; doubles per attempt with
@@ -89,8 +87,6 @@ struct ShardSupervisionOptions {
 /// encoded (and checksummed) once per run, not once per attempt.
 struct ShardBootstrap {
   const EncodedTable* table = nullptr;
-  /// kTableBlock for process runners (empty otherwise).
-  std::vector<uint8_t> table_frame;
   /// The base (level-1) partitions: one kBatch envelope of
   /// `base_frames` kPartitionBlock frames (or the single frame when
   /// base_frames == 1). `base_frame_bytes` sums the inner frames, the
@@ -100,14 +96,6 @@ struct ShardBootstrap {
   int base_frames = 0;
   /// Per-runner options template; the supervisor stamps attempt_id.
   ShardRunnerOptions runner_options;
-  int num_shards = 1;
-  /// Coordinator pool width, for the per-child thread slice.
-  int pool_workers = 1;
-};
-
-/// One process reaped by the coordinator's shared-deadline reap pass.
-struct ShardReapJob {
-  pid_t pid = -1;
 };
 
 class ShardSupervisor {
@@ -122,12 +110,11 @@ class ShardSupervisor {
 
   /// Establishes and seeds the first attempt, with the full retry +
   /// fallback ladder in supervised mode. In strict mode a failure is
-  /// returned as-is and the partially built attempt (possibly holding a
-  /// spawned pid) is kept for the Finish-phase reap.
+  /// returned as-is and the partially built attempt is kept, so Finish
+  /// still reaches its channels.
   Status Start();
 
-  /// Ships `batch`, pumps an in-process runner if the attempt has one,
-  /// and receives the chunked reply into `out` (ascending slot order).
+  /// Ships `batch`, pumps the attempt's runner through it, and receives the chunked reply into `out` (ascending slot order).
   /// On failure: teardown, backoff, respawn, re-execute — up to
   /// max_retries re-attempts — then the in-process fallback; only when
   /// all of that is exhausted does the error surface. Empty batches
@@ -140,8 +127,8 @@ class ShardSupervisor {
   // --- Finish phase (driven by ShardCoordinator::Finish, in order) ---
   /// Ships the kShutdown frame on the current attempt.
   Status SendShutdown();
-  /// One ServeOne for an attempt with an in-process runner (answers the
-  /// shutdown with the stats footer).
+  /// One ServeOne on the attempt's runner (answers the shutdown with the
+  /// stats footer).
   Status PumpShutdownServe();
   /// Drains stale reply frames (bounded) and decodes the stats footer,
   /// validating served-frame count and attempt id. Strict mode returns
@@ -149,9 +136,6 @@ class ShardSupervisor {
   /// (the level work is already merged) and counts it instead.
   Status CollectFooter();
   void CloseChannels();
-  /// Hands every still-live runner process over for the coordinator's
-  /// shared-deadline reap; the supervisor forgets the pids.
-  void ReleaseProcesses(std::vector<ShardReapJob>* jobs);
 
   // --- Observability (read by the coordinator after the level tasks
   // joined) ---
@@ -169,9 +153,9 @@ class ShardSupervisor {
   int64_t frame_bytes(FrameType type) const;
 
  private:
-  /// One (re)establishment: channels, receiver, in-process runner or
-  /// spawned process. Channel storage precedes the runner so the runner
-  /// (which borrows channel pointers) dies first.
+  /// One (re)establishment: channels, receiver and runner. Channel
+  /// storage precedes the runner so the runner (which borrows channel
+  /// pointers) dies first.
   struct Attempt {
     uint32_t id = 0;
     /// True for the degraded in-process fallback (undecorated channels).
@@ -182,8 +166,7 @@ class ShardSupervisor {
     ShardChannel* to_shard = nullptr;
     ShardChannel* from_shard = nullptr;
     std::unique_ptr<LogicalFrameReceiver> receiver;
-    std::unique_ptr<ShardRunner> runner;  // null for process attempts
-    pid_t pid = -1;
+    std::unique_ptr<ShardRunner> runner;
     /// Frames this attempt was sent that its runner serves (bases +
     /// batches + shutdown) — the footer cross-check is per attempt.
     int64_t frames_sent = 0;
@@ -197,12 +180,11 @@ class ShardSupervisor {
   std::unique_ptr<ShardChannel> Decorate(std::unique_ptr<ShardChannel> ch);
   void AddFrameBytes(FrameType type, int64_t bytes);
 
-  /// Builds one attempt (connect/spawn/bootstrap-send). On failure the
-  /// partially built attempt is still handed back through `out` so the
-  /// caller can keep it for reaping (strict) or tear it down (retry).
+  /// Builds one attempt (channels, runner). On failure the partially
+  /// built attempt is still handed back through `out` so the caller can
+  /// keep it (strict) or tear it down (retry).
   Status BuildAttempt(bool force_inproc, std::unique_ptr<Attempt>* out);
-  /// Ships the base partitions and, for attempts with an in-process
-  /// runner, pumps them into the runner's cache.
+  /// Ships the base partitions and pumps them into the runner's cache.
   Status SeedAttempt(Attempt* attempt, const std::function<bool()>& cancel);
   /// BuildAttempt + install as current_ + SeedAttempt.
   Status EstablishCurrent(bool force_inproc,
@@ -215,9 +197,8 @@ class ShardSupervisor {
   /// Exponential backoff with deterministic jitter before re-attempt
   /// `attempt_try`; returns early on cancel/deadline.
   void Backoff(int attempt_try, const std::function<bool()>& cancel);
-  /// Swaps the slot empty under the attempt mutex, then closes channels,
-  /// SIGKILLs + reaps a live process, and folds the attempt's channel
-  /// byte counters into retired_bytes_.
+  /// Swaps the slot empty under the attempt mutex, then closes channels
+  /// and folds the attempt's channel byte counters into retired_bytes_.
   void Teardown(std::unique_ptr<Attempt>* slot);
   void DestroyAttempt(std::unique_ptr<Attempt> attempt);
 

@@ -202,7 +202,8 @@ Result<DecodedFrame> DecodeFrame(const uint8_t* data, size_t size) {
   }
   const uint16_t raw_type = LoadU16(data + 6);
   if (raw_type < static_cast<uint16_t>(FrameType::kPartitionBlock) ||
-      raw_type > static_cast<uint16_t>(FrameType::kCancel)) {
+      raw_type > static_cast<uint16_t>(FrameType::kCancel) ||
+      raw_type == kRetiredFrameType) {
     return Status::ParseError("unknown wire frame type " +
                               std::to_string(raw_type));
   }
@@ -383,65 +384,6 @@ Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame) {
   }
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
   return chunk;
-}
-
-std::vector<uint8_t> EncodeConfigBlock(const WireRunnerConfig& config) {
-  WireWriter writer;
-  writer.PutU32(config.shard_id);
-  writer.PutU32(config.attempt_id);
-  writer.PutU8(config.validator);
-  writer.PutDouble(config.epsilon);
-  writer.PutU8(config.collect_removal_sets ? 1 : 0);
-  writer.PutU8(config.enable_sampling_filter ? 1 : 0);
-  writer.PutI64(config.sampler_sample_size);
-  writer.PutDouble(config.sampler_reject_margin);
-  writer.PutU64(config.sampler_seed);
-  writer.PutI64(config.partition_memory_budget_bytes);
-  writer.PutU32(config.num_threads);
-  writer.PutU32(config.kinds);
-  writer.PutDouble(config.afd_error);
-  return writer.SealFrame(FrameType::kConfigBlock);
-}
-
-Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
-  if (frame.type != FrameType::kConfigBlock) {
-    return Status::ParseError("frame is not a config block");
-  }
-  WireReader reader(frame.payload, frame.size);
-  WireRunnerConfig config;
-  uint8_t removal = 0;
-  uint8_t sampling = 0;
-  AOD_RETURN_NOT_OK(reader.GetU32(&config.shard_id));
-  AOD_RETURN_NOT_OK(reader.GetU32(&config.attempt_id));
-  AOD_RETURN_NOT_OK(reader.GetU8(&config.validator));
-  AOD_RETURN_NOT_OK(reader.GetDouble(&config.epsilon));
-  AOD_RETURN_NOT_OK(reader.GetU8(&removal));
-  AOD_RETURN_NOT_OK(reader.GetU8(&sampling));
-  AOD_RETURN_NOT_OK(reader.GetI64(&config.sampler_sample_size));
-  AOD_RETURN_NOT_OK(reader.GetDouble(&config.sampler_reject_margin));
-  AOD_RETURN_NOT_OK(reader.GetU64(&config.sampler_seed));
-  AOD_RETURN_NOT_OK(reader.GetI64(&config.partition_memory_budget_bytes));
-  AOD_RETURN_NOT_OK(reader.GetU32(&config.num_threads));
-  AOD_RETURN_NOT_OK(reader.GetU32(&config.kinds));
-  AOD_RETURN_NOT_OK(reader.GetDouble(&config.afd_error));
-  AOD_RETURN_NOT_OK(reader.ExpectEnd());
-  config.collect_removal_sets = removal != 0;
-  config.enable_sampling_filter = sampling != 0;
-  if (config.validator > 2) {
-    return Status::ParseError("unknown validator kind " +
-                              std::to_string(config.validator));
-  }
-  if (!(config.epsilon >= 0.0 && config.epsilon <= 1.0)) {
-    return Status::ParseError("config epsilon outside [0, 1]");
-  }
-  if (config.kinds == 0 || !DependencyKindSet(config.kinds).IsValid()) {
-    return Status::ParseError("config dependency-kind set invalid (bits " +
-                              std::to_string(config.kinds) + ")");
-  }
-  if (!(config.afd_error >= 0.0 && config.afd_error <= 1.0)) {
-    return Status::ParseError("config afd_error outside [0, 1]");
-  }
-  return config;
 }
 
 std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table) {

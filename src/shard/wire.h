@@ -27,8 +27,8 @@
 // write (see channel.h's BatchingFrameSender).
 //
 // The frame layer is transport-agnostic: ShardChannel moves opaque
-// frames, and a socket or pipe transport can replace the in-process
-// queue without touching any encoder or decoder.
+// frames, and the socket transport replaces the in-process queue
+// without touching any encoder or decoder.
 #ifndef AOD_SHARD_WIRE_H_
 #define AOD_SHARD_WIRE_H_
 
@@ -69,9 +69,14 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// Version 8: every frame ships raw. kPartitionBlock loses its codec
 /// byte, kCandidateBatch its flags byte and each kTableBlock column its
 /// rank-codec byte; kResultBatch keeps its flags byte for
-/// kResultFlagFinalChunk only. kConfigBlock drops the compression byte
-/// and kStatsFooter the two decoded raw/wire byte counters.
+/// kResultFlagFinalChunk only. The config block drops its compression
+/// byte and kStatsFooter the two decoded raw/wire byte counters.
+/// Still version 8: frame type 5 (kConfigBlock, the spawned runner
+/// process's validation config) is retired. No encoder emits it,
+/// DecodeFrame rejects it as an unknown type, and the number is never
+/// reused. Every other layout is unchanged.
 inline constexpr uint16_t kWireVersion = 8;
+inline constexpr uint16_t kRetiredFrameType = 5;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -85,18 +90,17 @@ enum class FrameType : uint16_t {
   /// the last one carries kResultFlagFinalChunk, so the coordinator can
   /// fold chunks as they arrive instead of barriering on the level.
   kResultBatch = 3,
-  /// The rank-encoded table columns, shipped once at startup to a
-  /// runner in its own process (in-process runners share the table by
-  /// pointer and never see this frame).
+  /// The rank-encoded table columns, nested inline in a serve
+  /// kJobSubmit (shard runners share the table by pointer and never see
+  /// this frame).
   kTableBlock = 4,
-  /// The runner's validation configuration, shipped before the table.
-  kConfigBlock = 5,
+  // 5 is retired (kRetiredFrameType) and never reused.
   /// Coordinator -> runner: the run is over; reply with a stats footer
   /// and exit the serve loop. Empty payload.
   kShutdown = 6,
   /// Runner -> coordinator: the terminal frame of a shard conversation,
-  /// carrying the shard's DiscoveryStats counters so remote runners
-  /// aggregate without object access.
+  /// carrying the shard's DiscoveryStats counters, so every transport
+  /// reports them through the same frame.
   kStatsFooter = 7,
   /// An envelope holding a sequence of complete inner frames (payload:
   /// u32 count, then per inner frame u64 length + the frame bytes,
@@ -299,40 +303,6 @@ std::vector<uint8_t> EncodeResultBatch(const std::vector<WireOutcome>& outcomes,
                                        bool final_chunk = true);
 Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame);
 
-/// The shard-relevant validation configuration, flattened to wire-level
-/// scalars so this module stays independent of od/. The coordinator
-/// fills it from ShardRunnerOptions; shard_runner_main converts it back.
-struct WireRunnerConfig {
-  uint32_t shard_id = 0;
-  /// Which supervised (re)establishment of this shard the config belongs
-  /// to: 0 for the first attempt, bumped by the coordinator on every
-  /// respawn/reconnect. The runner echoes it in its stats footer so the
-  /// coordinator can reject a footer that belongs to a torn-down
-  /// attempt.
-  uint32_t attempt_id = 0;
-  /// ValidatorKind's underlying value; decoders reject anything > 2.
-  uint8_t validator = 2;
-  double epsilon = 0.1;
-  bool collect_removal_sets = false;
-  bool enable_sampling_filter = false;
-  int64_t sampler_sample_size = 2000;
-  double sampler_reject_margin = 0.5;
-  uint64_t sampler_seed = 7;
-  int64_t partition_memory_budget_bytes = 0;
-  /// Worker threads for the runner's own pool (process transport only;
-  /// determinism does not depend on it).
-  uint32_t num_threads = 1;
-  /// DependencyKindSet::bits() of the kinds this runner must validate;
-  /// decoders reject an empty or unknown-bit mask. The runner refuses
-  /// candidate batches naming kinds outside this set.
-  uint32_t kinds = DependencyKindSet::OdDefault().bits();
-  /// AFD g1 threshold; decoders reject values outside [0, 1].
-  double afd_error = 0.05;
-};
-
-std::vector<uint8_t> EncodeConfigBlock(const WireRunnerConfig& config);
-Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame);
-
 /// Rank-encoded columns only — names, cardinalities and the int32 rank
 /// arrays. Dictionaries (raw values) never cross the shard seam:
 /// validators are pure integer work, so the decoded table carries empty
@@ -364,7 +334,7 @@ Result<std::vector<std::vector<uint8_t>>> UnpackBatchEnvelope(
 /// the shard served.
 struct ShardStatsFooter {
   uint32_t shard_id = 0;
-  /// Echo of WireRunnerConfig::attempt_id — which supervised attempt
+  /// Echo of ShardRunnerOptions::attempt_id — which supervised attempt
   /// produced these counters. The coordinator checks it against the
   /// attempt it is finishing so duplicate footers (a superseded attempt
   /// that still managed to answer its shutdown) are distinguishable.

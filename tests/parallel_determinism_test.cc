@@ -433,13 +433,13 @@ TEST(ParallelDeterminismTest, InterestingnessScoresRankEveryDependency) {
 }
 
 TEST(ParallelDeterminismTest, SocketTransportMatchesInProcessBitExactly) {
-  // The off-box seam's determinism gate (transport dimension): the
-  // localhost TCP transport — real length framing, partial reads,
-  // writer threads — must reproduce the in-process transport's full
-  // fingerprint (stats included) and the unsharded output, for every
-  // shard count. Byte volume must match too: the same frames cross
-  // either seam. The process transport variant lives in
-  // shard_process_e2e_test (it needs the runner binary).
+  // The determinism gate of the transport dimension: {inproc, socket} x
+  // num_shards {1, 2, 4}, removal sets on. Each run's output must match
+  // the unsharded run byte for byte, and the stats footers must deliver
+  // the shard-side partition counters. The localhost TCP transport —
+  // real length framing, partial reads, writer threads — must also
+  // reproduce the in-process transport's full fingerprint (stats
+  // included) and byte volume: the same frames cross either seam.
   Table t = GenerateNcVoterTable(400, 6, 11);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -449,25 +449,29 @@ TEST(ParallelDeterminismTest, SocketTransportMatchesInProcessBitExactly) {
   const std::string expected_output = OutputFingerprint(DiscoverOds(enc, options));
 
   for (int shards : {1, 2, 4}) {
-    SCOPED_TRACE("num_shards=" + std::to_string(shards));
     options.num_shards = shards;
-    options.shard_transport = ShardTransport::kInProcess;
-    DiscoveryResult inproc = DiscoverOds(enc, options);
-    ASSERT_TRUE(inproc.shard_status.ok());
-    options.shard_transport = ShardTransport::kSocket;
-    DiscoveryResult socket = DiscoverOds(enc, options);
-    ASSERT_TRUE(socket.shard_status.ok()) << socket.shard_status.ToString();
+    std::map<ShardTransport, DiscoveryResult> runs;
+    for (ShardTransport transport :
+         {ShardTransport::kInProcess, ShardTransport::kSocket}) {
+      SCOPED_TRACE(std::string(ShardTransportToString(transport)) +
+                   " x num_shards=" + std::to_string(shards));
+      options.shard_transport = transport;
+      DiscoveryResult run = DiscoverOds(enc, options);
+      ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+      EXPECT_EQ(OutputFingerprint(run), expected_output);
+      EXPECT_EQ(run.stats.shards_used, shards);
+      EXPECT_GT(run.stats.shard_bytes_wire, 0);
+      EXPECT_EQ(run.stats.shard_bytes_raw, run.stats.shard_bytes_wire);
+      EXPECT_FALSE(run.stats.shard_frame_bytes.empty());
+      // Footer-fed partition counters arrived over the transport.
+      EXPECT_GT(run.stats.partitions_computed, 0);
+      EXPECT_GT(run.stats.partition_bytes_peak, 0);
+      runs.emplace(transport, std::move(run));
+    }
+    const DiscoveryResult& inproc = runs.at(ShardTransport::kInProcess);
+    const DiscoveryResult& socket = runs.at(ShardTransport::kSocket);
     EXPECT_EQ(Fingerprint(socket), Fingerprint(inproc));
-    EXPECT_EQ(OutputFingerprint(socket), expected_output);
-    EXPECT_GT(socket.stats.shard_bytes_wire, 0);
-    EXPECT_EQ(socket.stats.shard_bytes_wire,
-              inproc.stats.shard_bytes_wire);
-    EXPECT_EQ(socket.stats.shard_bytes_raw, socket.stats.shard_bytes_wire);
-    EXPECT_FALSE(socket.stats.shard_frame_bytes.empty());
-    // Footer-fed partition counters arrived over either transport.
-    EXPECT_EQ(socket.stats.partitions_computed,
-              inproc.stats.partitions_computed);
-    EXPECT_GT(socket.stats.partition_bytes_peak, 0);
+    EXPECT_EQ(socket.stats.shard_bytes_wire, inproc.stats.shard_bytes_wire);
   }
 }
 

@@ -70,7 +70,7 @@ void AppendDouble(std::string* out, double v) {
 
 /// Byte-exact serialization of both dependency lists with every payload
 /// field — "bit-identical to direct DiscoverOds" made testable (same
-/// discipline as shard_process_e2e_test).
+/// discipline as parallel_determinism_test).
 std::string OutputFingerprint(const DiscoveryResult& result) {
   std::string out;
   for (const DiscoveredDependency& d : result.dependencies) {

@@ -1,17 +1,19 @@
 // One observable contract, every transport.
 //
 // Every ShardChannel implementation — the in-process queue and the
-// localhost TCP / pipe stream — must be interchangeable under the coordinator, so one parameterized
-// suite holds them all to the same contract: exact in-order delivery,
-// frame reassembly across partial reads, drain-then-kClosed shutdown
+// stream socket, over localhost TCP or a Unix socketpair — must be
+// interchangeable under the coordinator, so one parameterized suite
+// holds them all to the same contract: exact in-order delivery, frame
+// reassembly across partial reads, drain-then-kClosed shutdown
 // (including waking a *blocked* receiver), typed oversized-frame
 // rejection, and typed receive timeouts. Byte-level fault tests (EOF
-// mid-frame, stream desync) follow per transport, and
+// mid-frame, stream desync) write raw bytes into a socketpair, and
 // the FlakyChannel fault-injection tests at the bottom pin the
 // coordinator's failure contract: every injected fault yields a typed
 // error from DiscoverOds — no hang, no crash, no partially merged
 // level.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -82,19 +84,17 @@ std::unique_ptr<Endpoints> MakeTcp(ChannelOptions options) {
   return endpoints;
 }
 
-std::unique_ptr<Endpoints> MakePipe(ChannelOptions options) {
-  // The stdio path of shard_runner_main: a unidirectional fd pair.
+std::unique_ptr<Endpoints> MakeSocketPair(ChannelOptions options) {
+  // Both ends of a Unix stream socketpair, each wrapped with Adopt.
   auto endpoints = std::make_unique<Endpoints>();
   int fds[2];
-  AOD_CHECK(::pipe(fds) == 0);
-  int devnull[2];
-  AOD_CHECK(::pipe(devnull) == 0);
-  auto write_end = SocketShardChannel::AdoptPair(devnull[0], fds[1], options);
-  auto read_end = SocketShardChannel::AdoptPair(fds[0], devnull[1], options);
-  endpoints->sender = write_end.get();
-  endpoints->receiver = read_end.get();
-  endpoints->owned.push_back(std::move(write_end));
-  endpoints->owned.push_back(std::move(read_end));
+  AOD_CHECK(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0);
+  auto near = SocketShardChannel::Adopt(fds[0], options);
+  auto far = SocketShardChannel::Adopt(fds[1], options);
+  endpoints->sender = near.get();
+  endpoints->receiver = far.get();
+  endpoints->owned.push_back(std::move(near));
+  endpoints->owned.push_back(std::move(far));
   return endpoints;
 }
 
@@ -120,7 +120,7 @@ TEST_P(ShardChannelConformanceTest, DeliversFramesInOrderWithExactBytes) {
   ChannelOptions options;
   options.receive_timeout_seconds = 10.0;
   auto endpoints = GetParam().factory(options);
-  // Sizes straddle typical pipe/socket buffer boundaries so stream
+  // Sizes straddle typical socket buffer boundaries so stream
   // transports must reassemble across partial reads; empty payloads pin
   // the header-only frame boundary.
   const size_t sizes[] = {0, 1, 24, 1000, 65536, 200000, 0, 3};
@@ -230,41 +230,41 @@ INSTANTIATE_TEST_SUITE_P(
     Transports, ShardChannelConformanceTest,
     ::testing::Values(TransportParam{"inproc", MakeInProcess},
                       TransportParam{"tcp", MakeTcp},
-                      TransportParam{"pipe", MakePipe}),
+                      TransportParam{"socketpair", MakeSocketPair}),
     [](const ::testing::TestParamInfo<TransportParam>& info) {
       return info.param.name;
     });
 
 // ------------------------------------------- byte-level stream faults --
 
+/// A receiving channel over one end of a Unix stream socketpair; the
+/// test writes arbitrary bytes into the raw peer fd and owns it.
+struct RawPeer {
+  std::unique_ptr<SocketShardChannel> receiver;
+  int peer_fd = -1;
+};
+
+RawPeer MakeRawPeer(ChannelOptions options) {
+  int fds[2];
+  AOD_CHECK(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0);
+  return RawPeer{SocketShardChannel::Adopt(fds[0], options), fds[1]};
+}
+
+void WriteAll(int fd, const uint8_t* data, size_t size) {
+  ASSERT_EQ(::write(fd, data, size), static_cast<ssize_t>(size));
+}
+
 TEST(SocketChannelFaultTest, EofMidFrameIsTypedNotAHang) {
-  Result<std::unique_ptr<SocketListener>> listener = SocketListener::Bind();
-  ASSERT_TRUE(listener.ok());
   ChannelOptions options;
   options.receive_timeout_seconds = 5.0;
-  Result<std::unique_ptr<SocketShardChannel>> client =
-      SocketShardChannel::Connect("127.0.0.1", (*listener)->port(), 5.0,
-                                  options);
-  ASSERT_TRUE(client.ok());
-  Result<int> accepted = (*listener)->AcceptFd(5.0);
-  ASSERT_TRUE(accepted.ok());
-  auto receiver = SocketShardChannel::Adopt(*accepted, options);
-
-  // A valid header promising 1000 payload bytes, but the stream dies
+  RawPeer peer = MakeRawPeer(options);
+  // A valid header promising 1000 payload bytes, but the stream ends
   // after 100: the receiver must report EOF mid-frame, not hang and not
   // deliver a short frame.
-  std::vector<uint8_t> frame = TestFrame(1000);
-  {
-    // Raw byte access: a second plain socket to the same receiver is not
-    // possible (connection-oriented), so send the prefix through the
-    // channel-owning fd by truncating at the sender: close the sender
-    // channel after a raw partial write is not exposed — instead build
-    // the prefix as a complete write followed by sender destruction.
-    std::vector<uint8_t> prefix(frame.begin(), frame.begin() + 124);
-    ASSERT_TRUE((*client)->Send(std::move(prefix)).ok());
-  }
-  client->reset();  // writer flushes the prefix, then FIN
-  Result<std::vector<uint8_t>> got = receiver->Receive();
+  const std::vector<uint8_t> frame = TestFrame(1000);
+  WriteAll(peer.peer_fd, frame.data(), shard::kFrameHeaderBytes + 100);
+  ::close(peer.peer_fd);
+  Result<std::vector<uint8_t>> got = peer.receiver->Receive();
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIoError)
       << got.status().ToString();
@@ -272,75 +272,57 @@ TEST(SocketChannelFaultTest, EofMidFrameIsTypedNotAHang) {
 }
 
 TEST(SocketChannelFaultTest, DesynchronizedStreamIsRejected) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
   ChannelOptions options;
   options.receive_timeout_seconds = 5.0;
-  int devnull[2];
-  ASSERT_EQ(::pipe(devnull), 0);
-  auto receiver = SocketShardChannel::AdoptPair(fds[0], devnull[1], options);
+  RawPeer peer = MakeRawPeer(options);
   // 24 bytes of garbage where a header should be: the channel must
   // refuse to trust the length field of a stream that lost framing.
-  std::vector<uint8_t> garbage(shard::kFrameHeaderBytes, 0xab);
-  ASSERT_EQ(::write(fds[1], garbage.data(), garbage.size()),
-            static_cast<ssize_t>(garbage.size()));
-  Result<std::vector<uint8_t>> got = receiver->Receive();
+  const std::vector<uint8_t> garbage(shard::kFrameHeaderBytes, 0xab);
+  WriteAll(peer.peer_fd, garbage.data(), garbage.size());
+  Result<std::vector<uint8_t>> got = peer.receiver->Receive();
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kParseError);
-  ::close(fds[1]);
-  ::close(devnull[0]);
+  ::close(peer.peer_fd);
 }
 
 TEST(SocketChannelFaultTest, HostileLengthHeaderRejectedWithoutAllocation) {
   // Valid magic and version but a near-UINT64_MAX declared payload: the
   // receiver must reject from the header — wrapping the size arithmetic
   // or trusting it with an allocation would be an OOM bomb.
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  int devnull[2];
-  ASSERT_EQ(::pipe(devnull), 0);
   ChannelOptions options;
   options.receive_timeout_seconds = 5.0;
-  auto receiver = SocketShardChannel::AdoptPair(fds[0], devnull[1], options);
+  RawPeer peer = MakeRawPeer(options);
   std::vector<uint8_t> header = TestFrame(0);  // pristine 24-byte header
   header.resize(shard::kFrameHeaderBytes);
   for (int i = 8; i < 16; ++i) header[static_cast<size_t>(i)] = 0xff;
-  ASSERT_EQ(::write(fds[1], header.data(), header.size()),
-            static_cast<ssize_t>(header.size()));
-  Result<std::vector<uint8_t>> got = receiver->Receive();
+  WriteAll(peer.peer_fd, header.data(), header.size());
+  Result<std::vector<uint8_t>> got = peer.receiver->Receive();
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kParseError);
-  ::close(fds[1]);
-  ::close(devnull[0]);
+  ::close(peer.peer_fd);
 }
 
 TEST(SocketChannelFaultTest, PartialWritesAreReassembled) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
   ChannelOptions options;
   options.receive_timeout_seconds = 10.0;
-  int devnull[2];
-  ASSERT_EQ(::pipe(devnull), 0);
-  auto receiver = SocketShardChannel::AdoptPair(fds[0], devnull[1], options);
+  RawPeer peer = MakeRawPeer(options);
   const std::vector<uint8_t> frame = TestFrame(5000);
   std::thread dripper([&] {
     // 7-byte trickle across frame boundaries: the receiver sees many
     // partial reads and must still reassemble the exact frame.
     for (size_t at = 0; at < frame.size(); at += 7) {
-      const size_t n = std::min<size_t>(7, frame.size() - at);
-      ASSERT_EQ(::write(fds[1], frame.data() + at, n),
-                static_cast<ssize_t>(n));
+      WriteAll(peer.peer_fd, frame.data() + at,
+               std::min<size_t>(7, frame.size() - at));
       if (at % 700 == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
   });
-  Result<std::vector<uint8_t>> got = receiver->Receive();
+  Result<std::vector<uint8_t>> got = peer.receiver->Receive();
   dripper.join();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, frame);
-  ::close(fds[1]);
-  ::close(devnull[0]);
+  ::close(peer.peer_fd);
 }
 
 TEST(SocketChannelFaultTest, TeardownIsBoundedWhenPeerStopsReading) {

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -344,53 +343,6 @@ TEST(ShardCodecTest, UnknownKindIdsAndFlagsAreTyped) {
     EXPECT_NE(r.status().message().find("unknown result batch flags"),
               std::string::npos)
         << r.status().ToString();
-  }
-}
-
-TEST(ShardCodecTest, ConfigBlockRejectsBadKindSetsAndThresholds) {
-  shard::WireRunnerConfig config;
-  config.kinds = DependencyKindSet::All().bits();
-  config.afd_error = 0.25;
-
-  // The well-formed block round-trips its wire-v4 fields.
-  {
-    HeldFrame good(shard::EncodeConfigBlock(config));
-    ASSERT_TRUE(good.ok());
-    auto back = shard::DecodeConfigBlock(*good);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(back->kinds, DependencyKindSet::All().bits());
-    EXPECT_EQ(back->afd_error, 0.25);
-  }
-
-  auto expect_rejected = [](const shard::WireRunnerConfig& bad_config,
-                            const std::string& want) {
-    HeldFrame frame(shard::EncodeConfigBlock(bad_config));
-    ASSERT_TRUE(frame.ok());
-    auto r = shard::DecodeConfigBlock(*frame);
-    ASSERT_FALSE(r.ok()) << "decoded despite " << want;
-    EXPECT_NE(r.status().message().find(want), std::string::npos)
-        << r.status().ToString();
-  };
-
-  // An empty kind set asks the runner to validate nothing — a protocol
-  // error, not a degenerate no-op.
-  {
-    shard::WireRunnerConfig bad = config;
-    bad.kinds = 0;
-    expect_rejected(bad, "config dependency-kind set invalid (bits 0)");
-  }
-  // Bits above the known kinds come from a newer (or corrupted) peer.
-  {
-    shard::WireRunnerConfig bad = config;
-    bad.kinds = DependencyKindSet::All().bits() | 0x10;
-    expect_rejected(bad, "config dependency-kind set invalid");
-  }
-  // The AFD threshold is a g1 fraction; anything outside [0, 1] — NaN
-  // included — is meaningless and must not reach a validator.
-  for (double e : {1.5, -0.25, std::numeric_limits<double>::quiet_NaN()}) {
-    shard::WireRunnerConfig bad = config;
-    bad.afd_error = e;
-    expect_rejected(bad, "config afd_error outside [0, 1]");
   }
 }
 

@@ -8,19 +8,19 @@
 // recovery visible in the supervision counters.
 //
 //   - the fault sweep injects one fault fleet-wide (shared budget) per
-//     run, across every fault kind x frame position x {socket, process};
+//     run, across every fault kind x frame position on the socket
+//     transport;
 //   - the attempt-1-vs-2 tests fault the first AND second attempt of
 //     one shard, forcing the ladder two rungs deep;
 //   - the persistent-fault test breaks every attempt so the shards must
-//     degrade to in-process execution.
+//     degrade to in-process execution;
+//   - the run deadline clamps every I/O wait and backoff park.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,26 +38,13 @@ namespace {
 using shard::ShardChannel;
 using testing_util::FlakyChannel;
 
-std::string RunnerBinaryPath() {
-  if (const char* env = std::getenv("AOD_SHARD_RUNNER")) return env;
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const std::string sibling =
-      (std::filesystem::path(buf).parent_path() / "shard_runner_main")
-          .string();
-  return std::filesystem::exists(sibling) ? sibling : "";
-}
-
 void AppendDouble(std::string* out, double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%a,", v);
   *out += buf;
 }
 
-/// Byte-exact serialization of the kind-tagged dependency list (the same
-/// fingerprint shard_process_e2e_test diffs).
+/// Byte-exact serialization of the kind-tagged dependency list.
 std::string OutputFingerprint(const DiscoveryResult& result) {
   std::string out;
   for (const DiscoveredDependency& d : result.dependencies) {
@@ -81,40 +68,25 @@ int64_t RecoveryTotal(const DiscoveryStats& stats) {
 /// Base options for a supervised 2-shard run over `transport`: tight
 /// backoff so retries are cheap, a 1 s I/O bound so DropFrame surfaces
 /// fast, and the default retry budget.
-DiscoveryOptions SupervisedOptions(ShardTransport transport,
-                                   const std::string& runner) {
+DiscoveryOptions SupervisedOptions(
+    ShardTransport transport = ShardTransport::kSocket) {
   DiscoveryOptions options;
   options.epsilon = 0.1;
   options.num_shards = 2;
   options.num_threads = 2;
   options.shard_transport = transport;
-  options.shard_runner_path = runner;
   options.shard_io_timeout_seconds = 1.0;
   options.shard_retry_backoff_ms = 1.0;
   return options;
 }
 
-class ShardSupervisorTest
-    : public ::testing::TestWithParam<ShardTransport> {
- protected:
-  void SetUp() override {
-    if (GetParam() == ShardTransport::kProcess) {
-      runner_ = RunnerBinaryPath();
-      if (runner_.empty()) {
-        GTEST_SKIP() << "shard_runner_main not found next to the test binary";
-      }
-    }
-  }
-  std::string runner_;
-};
-
 // One injected fault, anywhere in the fleet, for every fault kind and a
-// sweep of frame positions (position 0 hits bootstrap shipping — config
-// / table / base frames — later positions hit candidate batches, result
-// chunks and the shutdown handshake): the run must complete with output
+// sweep of frame positions (position 0 hits the base-partition
+// shipment, later positions hit candidate batches, result chunks and
+// the shutdown handshake): the run must complete with output
 // bit-identical to the unsharded run, and whenever the fault actually
 // fired the supervisor must have visibly recovered.
-TEST_P(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
+TEST(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -133,7 +105,7 @@ TEST_P(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
       SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
                    " trigger=" + std::to_string(trigger));
       std::atomic<int> budget{1};  // one fault total, wherever it lands
-      DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+      DiscoveryOptions options = SupervisedOptions();
       options.shard_channel_decorator =
           [&](std::unique_ptr<ShardChannel> inner)
           -> std::unique_ptr<ShardChannel> {
@@ -162,7 +134,7 @@ TEST_P(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
 // level — and the merged output must not change. Decorated channels are
 // created serially in shard order, then one per re-attempt, so creation
 // index identifies the attempt deterministically.
-TEST_P(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
+TEST(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -172,13 +144,11 @@ TEST_P(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
   DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
   ASSERT_TRUE(unsharded.shard_status.ok());
 
-  // Sends before the first candidate batch: socket attempts ship only
-  // the base-partition envelope; process attempts ship config + table +
-  // bases. Tearing the next send faults the level's candidate batch.
-  const int clean_sends =
-      GetParam() == ShardTransport::kProcess ? 3 : 1;
+  // The one send before the first candidate batch is the base-partition
+  // envelope; tearing the next send faults the level's candidate batch.
+  const int clean_sends = 1;
   std::atomic<int> created{0};
-  DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+  DiscoveryOptions options = SupervisedOptions();
   options.shard_channel_decorator =
       [&](std::unique_ptr<ShardChannel> inner)
       -> std::unique_ptr<ShardChannel> {
@@ -194,8 +164,7 @@ TEST_P(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
   DiscoveryResult result = DiscoverOds(enc, options);
   ASSERT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
   EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
-  // At least the two injected faults were retried (teardown/respawn
-  // races can add a benign extra attempt on the process transport).
+  // At least the two injected faults were retried.
   EXPECT_GE(result.stats.shard_retries, 2);
   EXPECT_GE(result.stats.shard_respawns, 2);
   EXPECT_EQ(result.stats.shard_fallback_shards, 0);
@@ -205,7 +174,7 @@ TEST_P(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
 // succeed: both shards must exhaust the retry budget and degrade to
 // in-process execution — which is NOT decorated (the fallback leaves
 // the transport's failure domain) — and complete bit-identically.
-TEST_P(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
+TEST(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -215,7 +184,7 @@ TEST_P(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
   DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
   ASSERT_TRUE(unsharded.shard_status.ok());
 
-  DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+  DiscoveryOptions options = SupervisedOptions();
   options.shard_max_retries = 1;
   options.shard_channel_decorator =
       [](std::unique_ptr<ShardChannel> inner)
@@ -234,10 +203,10 @@ TEST_P(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
 
 // Strict mode must not recover: the same persistent fault with
 // shard_max_retries == 0 is the pre-supervision typed fail-stop.
-TEST_P(ShardSupervisorTest, StrictModeStillFailsStop) {
+TEST(ShardSupervisorTest, StrictModeStillFailsStop) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
-  DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+  DiscoveryOptions options = SupervisedOptions();
   options.shard_max_retries = 0;
   options.shard_channel_decorator =
       [](std::unique_ptr<ShardChannel> inner)
@@ -257,7 +226,7 @@ TEST_P(ShardSupervisorTest, StrictModeStillFailsStop) {
 // same ladder: a fault on each transport is retried away and the merged
 // mixed-kind output — kind tags, g1 errors and ranking included — is
 // bit-identical to the unsharded mixed-kind run.
-TEST_P(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
+TEST(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -273,7 +242,7 @@ TEST_P(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
             0);
 
   std::atomic<int> budget{1};
-  DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+  DiscoveryOptions options = SupervisedOptions();
   options.kinds = DependencyKindSet::All();
   options.afd_error = 0.05;
   options.shard_channel_decorator =
@@ -293,15 +262,43 @@ TEST_P(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Transports, ShardSupervisorTest,
-    ::testing::Values(ShardTransport::kSocket, ShardTransport::kProcess),
-    [](const ::testing::TestParamInfo<ShardTransport>& info) {
-      return std::string(ShardTransportToString(info.param));
-    });
+// A generous I/O timeout clamped by a 1-second run budget: every
+// receive must shrink its wait to the remaining budget instead of
+// parking for the full 30 s per attempt. Every attempt's first send —
+// the base-partition shipment — is dropped, so each runner waits on a
+// frame that never comes.
+TEST(ShardSupervisorTest, IoTimeoutIsClampedToTheRunDeadline) {
+  Table t = GenerateNcVoterTable(60, 3, 5);
+  EncodedTable enc = EncodeTable(t);
+  DiscoveryOptions options = SupervisedOptions();
+  options.num_shards = 1;
+  options.shard_io_timeout_seconds = 30.0;
+  options.time_budget_seconds = 1.0;
+  options.shard_max_retries = 1;
+  options.shard_channel_decorator =
+      [](std::unique_ptr<ShardChannel> inner)
+      -> std::unique_ptr<ShardChannel> {
+    FlakyChannel::Plan plan;
+    plan.fault = FlakyChannel::Fault::kDropFrame;
+    plan.trigger_after = 0;
+    return std::make_unique<FlakyChannel>(std::move(inner), plan);
+  };
+  const auto start = std::chrono::steady_clock::now();
+  DiscoveryResult result = DiscoverOds(enc, options);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed, 10.0) << "I/O waits were not clamped to the budget";
+  // A coherent terminal state: either the budget ran out before the
+  // in-process fallback could take over (a typed error), or the one
+  // shard degraded to in-process execution.
+  EXPECT_TRUE(!result.shard_status.ok() ||
+              result.stats.shard_fallback_shards == 1)
+      << result.shard_status.ToString();
+}
 
-// A transient fault on the in-process transport: no process or socket
-// to rebuild, and no fallback rung (the transport IS in-process) — the
+// A transient fault on the in-process transport: no socket to
+// reconnect, and no fallback rung (the transport IS in-process) — the
 // ladder is pure retry, and it must still converge bit-identically.
 TEST(ShardSupervisorInprocTest, TransientFaultRetriesInPlace) {
   Table t = GenerateNcVoterTable(120, 4, 7);
@@ -314,8 +311,7 @@ TEST(ShardSupervisorInprocTest, TransientFaultRetriesInPlace) {
   ASSERT_TRUE(unsharded.shard_status.ok());
 
   std::atomic<int> budget{1};
-  DiscoveryOptions options =
-      SupervisedOptions(ShardTransport::kInProcess, "");
+  DiscoveryOptions options = SupervisedOptions(ShardTransport::kInProcess);
   options.shard_channel_decorator =
       [&](std::unique_ptr<ShardChannel> inner)
       -> std::unique_ptr<ShardChannel> {
@@ -343,8 +339,7 @@ TEST(ShardSupervisorInprocTest, TightBudgetBoundsBackoffParks) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
-  DiscoveryOptions options =
-      SupervisedOptions(ShardTransport::kInProcess, "");
+  DiscoveryOptions options = SupervisedOptions(ShardTransport::kInProcess);
   options.shard_retry_backoff_ms = 30000.0;  // absurd on purpose
   options.time_budget_seconds = 0.4;
   options.shard_channel_decorator =

@@ -249,15 +249,19 @@ TEST(ShardWireTest, FrameTypeMismatchRejectedByMessageDecoders) {
   EXPECT_FALSE(shard::DecodeResultBatch(*decoded).ok());
   EXPECT_FALSE(shard::DecodePartitionBlock(*decoded, 10).ok());
 
-  // Type 14 (the withdrawn v5 partition fragment) is past the last
-  // frame type, so the frame layer rejects it before any decoder.
-  frame[6] = 14;  // type field, little-endian at offset 6
-  frame[7] = 0;
-  Result<DecodedFrame> unknown = DecodeFrame(frame);
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_EQ(unknown.status().code(), StatusCode::kParseError);
-  EXPECT_NE(unknown.status().message().find("unknown wire frame type"),
-            std::string::npos);
+  // Retired numbers are unknown types, rejected by the frame layer
+  // before any decoder: 5 (the spawned runner's config block) sits
+  // inside the live range, 14 (the withdrawn v5 partition fragment) past
+  // its end.
+  for (uint8_t type : {shard::kRetiredFrameType, uint16_t{14}}) {
+    frame[6] = type;  // type field, little-endian at offset 6
+    frame[7] = 0;
+    Result<DecodedFrame> unknown = DecodeFrame(frame);
+    ASSERT_FALSE(unknown.ok()) << "type " << int{type};
+    EXPECT_EQ(unknown.status().code(), StatusCode::kParseError);
+    EXPECT_NE(unknown.status().message().find("unknown wire frame type"),
+              std::string::npos);
+  }
 }
 
 // --------------------------------------------------- message payloads --
@@ -337,48 +341,6 @@ TEST(ShardWireTest, ResultBatchRoundTripIsBitExact) {
   EXPECT_FALSE(open->final_chunk);
   ASSERT_EQ(open->outcomes.size(), 2u);
   EXPECT_EQ(open->outcomes[0].approx_factor, o.approx_factor);
-}
-
-TEST(ShardWireTest, ConfigBlockRoundTripAndRejection) {
-  shard::WireRunnerConfig config;
-  config.shard_id = 3;
-  config.attempt_id = 5;
-  config.validator = 1;
-  config.epsilon = 0.1 + 1e-17;  // bit-exact or bust
-  config.collect_removal_sets = true;
-  config.enable_sampling_filter = true;
-  config.sampler_sample_size = 512;
-  config.sampler_reject_margin = 0.25;
-  config.sampler_seed = 99;
-  config.partition_memory_budget_bytes = 1 << 20;
-  config.num_threads = 4;
-
-  HeldFrame frame(shard::EncodeConfigBlock(config));
-  ASSERT_TRUE(frame.ok());
-  Result<shard::WireRunnerConfig> back = shard::DecodeConfigBlock(*frame);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->shard_id, 3u);
-  EXPECT_EQ(back->attempt_id, 5u);
-  EXPECT_EQ(back->validator, 1);
-  EXPECT_EQ(back->epsilon, config.epsilon);
-  EXPECT_TRUE(back->collect_removal_sets);
-  EXPECT_TRUE(back->enable_sampling_filter);
-  EXPECT_EQ(back->sampler_sample_size, 512);
-  EXPECT_EQ(back->sampler_reject_margin, 0.25);
-  EXPECT_EQ(back->sampler_seed, 99u);
-  EXPECT_EQ(back->partition_memory_budget_bytes, 1 << 20);
-  EXPECT_EQ(back->num_threads, 4u);
-
-  // Structural rejection: a validator kind that does not exist and an
-  // epsilon outside [0, 1] decode as ParseError, not as garbage config.
-  config.validator = 9;
-  HeldFrame bad_validator(shard::EncodeConfigBlock(config));
-  ASSERT_TRUE(bad_validator.ok());
-  EXPECT_FALSE(shard::DecodeConfigBlock(*bad_validator).ok());
-  config.validator = 1;
-  config.epsilon = 1.5;
-  HeldFrame bad_epsilon(shard::EncodeConfigBlock(config));
-  EXPECT_FALSE(shard::DecodeConfigBlock(*bad_epsilon).ok());
 }
 
 TEST(ShardWireTest, TableBlockRoundTripsRanksExactly) {
