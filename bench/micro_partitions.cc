@@ -1,6 +1,6 @@
 // Microbenchmark of the partition hot paths: CSR stripped product vs the
 // legacy vector-of-vectors representation, plus validator throughput on
-// generated tables.
+// generated tables, and the rank encoding every discovery run starts with.
 //
 // The legacy algorithm (one heap-allocated bucket per class, a fresh
 // vector-of-vectors per product) is reimplemented here verbatim as the
@@ -11,6 +11,7 @@
 //
 // Defaults target a 1M-row table; AOD_BENCH_SCALE scales rows like every
 // other harness (CI smoke-runs at a fraction of that).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +22,9 @@
 #include "common/stopwatch.h"
 #include "data/encoder.h"
 #include "gen/dataset_generator.h"
+#include "gen/flight_generator.h"
+#include "gen/ncvoter_generator.h"
+#include "gen/random.h"
 #include "od/aoc_lis_validator.h"
 #include "od/oc_validator.h"
 #include "od/ofd_validator.h"
@@ -139,6 +143,67 @@ struct DerivationResult {
     return planner_seconds > 0.0 ? fixed_seconds / planner_seconds : 0.0;
   }
 };
+
+struct EncodeResult {
+  std::string name;
+  int64_t rows = 0;
+  int columns = 0;
+  double ms_per_column = 0.0;
+  int64_t distinct = 0;          // dictionary entries over all columns
+  int64_t dictionary_bytes = 0;  // their typed storage
+};
+
+/// `in` with its rows in a seeded random order, so no column arrives
+/// pre-sorted by generation order.
+Table ShuffleRows(const Table& in, uint64_t seed) {
+  std::vector<int64_t> perm(static_cast<size_t>(in.num_rows()));
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int64_t>(i);
+  Rng(seed).Shuffle(&perm);
+  Table out(in.schema());
+  std::vector<Value> row(static_cast<size_t>(in.num_columns()));
+  for (int64_t r : perm) {
+    for (int c = 0; c < in.num_columns(); ++c) {
+      row[static_cast<size_t>(c)] = in.GetValue(r, c);
+    }
+    out.AppendRow(row);
+  }
+  return out;
+}
+
+/// Bytes a dictionary holds: a validity byte per entry plus the typed
+/// slot, and the heap text of strings too long for the inline buffer.
+int64_t DictionaryBytes(const Column& dict) {
+  int64_t bytes = 0;
+  for (int64_t r = 0; r < dict.size(); ++r) {
+    bytes += 1;
+    if (dict.type() != DataType::kString) {
+      bytes += 8;
+      continue;
+    }
+    const std::string& s = dict.strings()[static_cast<size_t>(r)];
+    bytes += static_cast<int64_t>(sizeof(std::string));
+    if (s.capacity() > std::string().capacity()) {
+      bytes += static_cast<int64_t>(s.capacity()) + 1;
+    }
+  }
+  return bytes;
+}
+
+EncodeResult BenchEncode(const char* name, const Table& table) {
+  EncodeResult r;
+  r.name = name;
+  r.rows = table.num_rows();
+  r.columns = table.num_columns();
+  const EncodedTable encoded = EncodeTable(table);
+  for (int c = 0; c < encoded.num_columns(); ++c) {
+    r.distinct += encoded.column(c).dictionary.size();
+    r.dictionary_bytes += DictionaryBytes(encoded.column(c).dictionary);
+  }
+  r.ms_per_column = 1e3 / r.columns * TimePerRep(3, 0.3, [&] {
+    if (EncodeTable(table).num_rows() < 0) std::abort();
+  });
+  return r;
+}
 
 /// Planner vs fixed rule on a skewed-cardinality workload: two
 /// near-distinct attributes (cheap, almost all singleton classes) and one
@@ -303,6 +368,23 @@ int main(int argc, char** argv) {
     std::printf("%-18s %12.5f %14.2f\n", v.name.c_str(), v.seconds, mrows);
   }
 
+  // -- Rank encoding: shuffled flight-like and ncvoter-like tables ------
+  std::vector<EncodeResult> encodes;
+  encodes.push_back(BenchEncode(
+      "flight", ShuffleRows(GenerateFlightTable(rows, 10, 3), 4)));
+  encodes.push_back(BenchEncode(
+      "ncvoter",
+      ShuffleRows(GenerateNcVoterTable(std::max<int64_t>(rows / 10, 2), 10, 3),
+                  4)));
+  std::printf("\n%-18s %10s %8s %12s %12s %14s\n", "encode", "rows",
+              "columns", "ms/column", "distinct", "dict bytes");
+  for (const EncodeResult& e : encodes) {
+    std::printf("%-18s %10lld %8d %12.3f %12lld %14lld\n", e.name.c_str(),
+                static_cast<long long>(e.rows), e.columns, e.ms_per_column,
+                static_cast<long long>(e.distinct),
+                static_cast<long long>(e.dictionary_bytes));
+  }
+
   if (json_path != nullptr) {
     FILE* f = std::fopen(json_path, "w");
     if (f == nullptr) {
@@ -336,6 +418,18 @@ int main(int argc, char** argv) {
       std::fprintf(f, "    {\"case\": \"%s\", \"seconds\": %.6f}%s\n",
                    v.name.c_str(), v.seconds,
                    i + 1 < validations.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"encode\": [\n");
+    for (size_t i = 0; i < encodes.size(); ++i) {
+      const EncodeResult& e = encodes[i];
+      std::fprintf(f,
+                   "    {\"case\": \"%s\", \"rows\": %lld, \"columns\": %d, "
+                   "\"ms_per_column\": %.4f, \"distinct\": %lld, "
+                   "\"dictionary_bytes\": %lld}%s\n",
+                   e.name.c_str(), static_cast<long long>(e.rows), e.columns,
+                   e.ms_per_column, static_cast<long long>(e.distinct),
+                   static_cast<long long>(e.dictionary_bytes),
+                   i + 1 < encodes.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -132,7 +132,11 @@ Args ParseArgs(int argc, char** argv) {
       if (kind == "optimal") args.validator = ValidatorKind::kOptimal;
       else if (kind == "iterative") args.validator = ValidatorKind::kIterative;
       else if (kind == "exact") args.validator = ValidatorKind::kExact;
-      else args.ok = false;
+      else {
+        std::fprintf(stderr, "--validator: want optimal, iterative or exact,"
+                             " got '%s'\n", v);
+        args.ok = false;
+      }
     } else if (arg == "--bidirectional") {
       args.bidirectional = true;
     } else if (const char* v = value_of("--threads=")) {

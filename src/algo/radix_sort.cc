@@ -9,7 +9,7 @@ namespace aod {
 namespace {
 
 constexpr int kMaxDigitBits = 11;
-constexpr int kMaxPasses = (32 + kMaxDigitBits - 1) / kMaxDigitBits;
+constexpr int kMaxPasses = (64 + kMaxDigitBits - 1) / kMaxDigitBits;
 
 int Passes(int key_bits) {
   return (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
@@ -20,32 +20,28 @@ int DigitBits(int key_bits) {
   return passes == 0 ? 0 : (key_bits + passes - 1) / passes;
 }
 
-}  // namespace
-
-size_t RadixSortBuckets(int key_bits) {
-  return static_cast<size_t>(Passes(key_bits)) << DigitBits(key_bits);
-}
-
-uint32_t* RadixSortKeys(uint32_t* keys, uint32_t* tmp, size_t n,
-                        int key_bits) {
-  AOD_DCHECK(key_bits >= 0 && key_bits <= 32);
+template <typename Key>
+Key* SortByLowBits(Key* keys, Key* tmp, size_t n, int key_bits) {
+  AOD_DCHECK(key_bits >= 0 &&
+             key_bits <= static_cast<int>(8 * sizeof(Key)));
+  AOD_DCHECK(n <= UINT32_MAX);
   const int passes = Passes(key_bits);
   if (passes == 0 || n < 2) return keys;
   const int digit_bits = DigitBits(key_bits);
-  const uint32_t mask = (uint32_t{1} << digit_bits) - 1;
+  const Key mask = (Key{1} << digit_bits) - 1;
   const size_t buckets = size_t{1} << digit_bits;
 
   uint32_t counts[kMaxPasses][size_t{1} << kMaxDigitBits];
   for (int p = 0; p < passes; ++p) std::fill_n(counts[p], buckets, 0u);
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t key = keys[i];
+    const Key key = keys[i];
     for (int p = 0; p < passes; ++p) {
       ++counts[p][(key >> (p * digit_bits)) & mask];
     }
   }
 
-  uint32_t* src = keys;
-  uint32_t* dst = tmp;
+  Key* src = keys;
+  Key* dst = tmp;
   for (int p = 0; p < passes; ++p) {
     const int shift = p * digit_bits;
     uint32_t* count = counts[p];
@@ -57,12 +53,28 @@ uint32_t* RadixSortKeys(uint32_t* keys, uint32_t* tmp, size_t n,
       offset += c;
     }
     for (size_t i = 0; i < n; ++i) {
-      const uint32_t key = src[i];
+      const Key key = src[i];
       dst[count[(key >> shift) & mask]++] = key;
     }
     std::swap(src, dst);
   }
   return src;
+}
+
+}  // namespace
+
+size_t RadixSortBuckets(int key_bits) {
+  return static_cast<size_t>(Passes(key_bits)) << DigitBits(key_bits);
+}
+
+uint32_t* RadixSortKeys(uint32_t* keys, uint32_t* tmp, size_t n,
+                        int key_bits) {
+  return SortByLowBits(keys, tmp, n, key_bits);
+}
+
+uint64_t* RadixSortKeys(uint64_t* keys, uint64_t* tmp, size_t n,
+                        int key_bits) {
+  return SortByLowBits(keys, tmp, n, key_bits);
 }
 
 }  // namespace aod

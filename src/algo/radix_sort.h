@@ -1,9 +1,11 @@
 // LSD radix sort of unsigned keys of known bit width.
 //
 // The AOC validator orders each context class by a key packed from two
-// dense ranks (see od/pair_order.h). Such keys are integers below
-// 2^key_bits, so the ordering needs no comparisons: ceil(key_bits / 11)
-// counting passes, each O(m + 2^digit), sort a class of m keys.
+// dense ranks (see od/pair_order.h), and the rank encoder orders a
+// column's cells by a key packed from the value and the row (see
+// data/encoder.h). Such keys are integers below 2^key_bits, so the
+// ordering needs no comparisons: ceil(key_bits / 11) counting passes,
+// each O(m + 2^digit), sort m keys.
 #ifndef AOD_ALGO_RADIX_SORT_H_
 #define AOD_ALGO_RADIX_SORT_H_
 
@@ -20,6 +22,11 @@ namespace aod {
 /// `keys` and `tmp` (both hold at least n keys); the return value is
 /// whichever of the two holds the sorted keys.
 uint32_t* RadixSortKeys(uint32_t* keys, uint32_t* tmp, size_t n,
+                        int key_bits);
+
+/// The same sort for 64-bit keys, with `key_bits` in [0, 64] and the same
+/// digit planning. n must fit in 32 bits.
+uint64_t* RadixSortKeys(uint64_t* keys, uint64_t* tmp, size_t n,
                         int key_bits);
 
 /// Histogram slots RadixSortKeys clears and scans for `key_bits`: its

@@ -1,5 +1,7 @@
 #include "data/column.h"
 
+#include <cmath>
+
 #include "common/macros.h"
 
 namespace aod {
@@ -56,6 +58,10 @@ void Column::AppendInt(int64_t v) {
 
 void Column::AppendDouble(double v) {
   AOD_DCHECK(type_ == DataType::kDouble);
+  if (std::isnan(v)) {
+    AppendNull();
+    return;
+  }
   valid_.push_back(1);
   doubles_.push_back(v);
 }
@@ -82,12 +88,30 @@ Value Column::GetValue(int64_t row) const {
   return Value::Null();
 }
 
+void Column::Reserve(int64_t n) {
+  const size_t rows = static_cast<size_t>(n);
+  valid_.reserve(rows);
+  switch (type_) {
+    case DataType::kInt64:
+      ints_.reserve(rows);
+      break;
+    case DataType::kDouble:
+      doubles_.reserve(rows);
+      break;
+    case DataType::kString:
+      strings_.reserve(rows);
+      break;
+  }
+}
+
 void Column::SetValue(int64_t row, const Value& v) {
   AOD_CHECK_MSG(row >= 0 && row < size(), "row %lld out of range",
                 static_cast<long long>(row));
   size_t i = static_cast<size_t>(row);
   bool was_null = !valid_[i];
-  if (v.is_null()) {
+  const bool nan = type_ == DataType::kDouble && v.is_double() &&
+                   std::isnan(v.as_double());
+  if (v.is_null() || nan) {
     if (!was_null) ++null_count_;
     valid_[i] = 0;
     return;

@@ -28,6 +28,7 @@ class Column {
   void Append(const Value& v);
   void AppendNull();
   void AppendInt(int64_t v);
+  /// A NaN is stored as null: it has no place in the value order.
   void AppendDouble(double v);
   void AppendString(std::string v);
 
@@ -36,9 +37,13 @@ class Column {
   /// Materializes row `row` as a Value (null-aware).
   Value GetValue(int64_t row) const;
 
-  /// Overwrites row `row`; must be null or match type(). Used by the error
-  /// injector to plant dirty cells.
+  /// Overwrites row `row`; must be null or match type(). As with
+  /// AppendDouble, a NaN is stored as null. Used by the error injector to
+  /// plant dirty cells.
   void SetValue(int64_t row, const Value& v);
+
+  /// Reserves storage for `n` rows in total.
+  void Reserve(int64_t n);
 
   // Typed raw access for hot paths; rows that are null hold a default
   // (0 / 0.0 / "") slot that must not be interpreted without IsNull().

@@ -5,6 +5,19 @@
 // once into dense int32 ranks (0..cardinality-1, nulls first) makes every
 // downstream step — partition products, swap detection, LNDS — pure integer
 // work. This mirrors the preprocessing in FASTOD [9] and TANE [3].
+//
+// The encoder sorts no row ids with a comparator. A numeric cell maps to
+// an order-preserving 64-bit key (a double's -0.0 takes +0.0's key), and
+// the span of the keys picks one of three paths:
+//   - span <= 4n + 2^16: direct addressing, a first-row table over the
+//     span and a prefix walk that hands out the ranks, O(n + span);
+//   - key bits + row bits <= 64: (key - min) << row_bits | row packed in
+//     one word and LSD radix sorted (algo/radix_sort.h), so equal keys
+//     come out row-ascending, O(n * passes);
+//   - otherwise a comparator sort of flat (key, row) pairs, O(n log n).
+// A string column numbers its distinct strings by first occurrence
+// through a hash table and sorts only those, O(n + d log d) for d
+// distinct strings. Scratch stays at or below 16 B/row on every path.
 #ifndef AOD_DATA_ENCODER_H_
 #define AOD_DATA_ENCODER_H_
 
@@ -12,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "data/column.h"
 #include "data/table.h"
 
 namespace aod {
@@ -25,17 +39,17 @@ struct EncodedColumn {
   std::vector<int32_t> ranks;
   /// Number of distinct values (including the null group if any).
   int32_t cardinality = 0;
-  /// dictionary[rank] = the attribute value carrying that rank. Lets the
-  /// repair module and debug output translate ranks back to values.
-  /// Always of size `cardinality` when produced by EncodeColumn.
-  std::vector<Value> dictionary;
+  /// Row `rank` of the dictionary holds the value carrying that rank, as
+  /// found at the smallest row with that rank, typed like the source
+  /// column. Lets the repair module and debug output translate ranks back
+  /// to values. Always of size `cardinality` when produced by
+  /// EncodeColumn; empty when ranks came without values (the shard wire).
+  Column dictionary{"", DataType::kInt64};
 
   /// Value for `rank`; Null when no dictionary was materialized.
   Value Decode(int32_t rank) const {
-    if (rank < 0 || static_cast<size_t>(rank) >= dictionary.size()) {
-      return Value::Null();
-    }
-    return dictionary[static_cast<size_t>(rank)];
+    if (rank < 0 || rank >= dictionary.size()) return Value::Null();
+    return dictionary.GetValue(rank);
   }
 };
 
@@ -60,7 +74,9 @@ class EncodedTable {
   int64_t num_rows_ = 0;
 };
 
-/// Encodes every column of `table`. O(n log n) per column.
+/// Encodes every column of `table`, each by the cheapest of the paths in
+/// the header comment: O(n + span), radix or O(n log n) for a numeric
+/// column, O(n + d log d) for a string column.
 EncodedTable EncodeTable(const Table& table);
 
 /// Encodes a single column (exposed for tests and custom pipelines).

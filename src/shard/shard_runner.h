@@ -96,12 +96,6 @@ class ShardRunner {
   /// one-frame-per-level cadence.
   Status ServeOne(const std::function<bool()>& cancel = {});
 
-  int shard_id() const { return shard_id_; }
-  /// Shard-local cache observability, aggregated by the coordinator into
-  /// DiscoveryStats.
-  const PartitionCache& cache() const { return cache_; }
-  /// Bytes released by per-shard budget enforcement so far.
-  int64_t bytes_evicted() const { return bytes_evicted_; }
   /// Wall time this runner spent deriving context partitions (the
   /// shard-side analogue of the driver's partition_seconds). Counted
   /// only when the requesting candidate found its context unresolved, so

@@ -1,4 +1,5 @@
-// Tests for src/algo: LNDS/LIS, Fenwick trees, inversion counting.
+// Tests for src/algo: LNDS/LIS, Fenwick trees, inversion counting, radix
+// sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 #include "algo/fenwick.h"
 #include "algo/inversions.h"
 #include "algo/lnds.h"
+#include "algo/radix_sort.h"
 #include "gen/random.h"
 #include "test_util.h"
 
@@ -220,6 +222,42 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<uint64_t>(7, 8),
                        ::testing::Values(2, 17, 90),
                        ::testing::Values(2, 6, 500)));
+
+// ----------------------------------------------------------- Radix sort --
+
+template <typename Key>
+void ExpectRadixMatchesStdSort(uint64_t seed, size_t n, int key_bits) {
+  Rng rng(seed);
+  const Key high = key_bits < static_cast<int>(8 * sizeof(Key))
+                       ? static_cast<Key>(rng.NextUint64()) >> key_bits
+                             << key_bits
+                       : 0;
+  std::vector<Key> keys(n);
+  for (Key& k : keys) {
+    Key low = static_cast<Key>(rng.NextUint64());
+    if (key_bits < static_cast<int>(8 * sizeof(Key))) {
+      low &= (Key{1} << key_bits) - 1;
+    }
+    k = high | (rng.Bernoulli(0.3) ? Key{0} : low);
+  }
+  std::vector<Key> want = keys;
+  std::sort(want.begin(), want.end());
+  std::vector<Key> tmp(n);
+  const Key* got = RadixSortKeys(keys.data(), tmp.data(), n, key_bits);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), got))
+      << n << " keys of " << key_bits << " bits";
+}
+
+TEST(RadixSortTest, MatchesStdSortAtEveryWidth) {
+  for (int key_bits = 0; key_bits <= 64; ++key_bits) {
+    for (size_t n : {0, 1, 2, 100, 5000}) {
+      if (key_bits <= 32) {
+        ExpectRadixMatchesStdSort<uint32_t>(key_bits * 7 + n, n, key_bits);
+      }
+      ExpectRadixMatchesStdSort<uint64_t>(key_bits * 7 + n, n, key_bits);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace aod

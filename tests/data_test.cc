@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "data/csv_parser.h"
 #include "data/encoder.h"
@@ -115,6 +121,30 @@ TEST(ColumnTest, DoubleColumnAcceptsIntValues) {
   Column col("c", DataType::kDouble);
   col.Append(Value(int64_t{3}));
   EXPECT_EQ(col.GetValue(0), Value(3.0));
+}
+
+TEST(ColumnTest, NanIsStoredAsNull) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Column col("c", DataType::kDouble);
+  col.AppendDouble(nan);
+  col.Append(Value(nan));
+  col.AppendDouble(1.5);
+  EXPECT_TRUE(col.IsNull(0));
+  EXPECT_TRUE(col.IsNull(1));
+  EXPECT_EQ(col.null_count(), 2);
+  col.SetValue(2, Value(-nan));
+  EXPECT_TRUE(col.GetValue(2).is_null());
+  EXPECT_EQ(col.null_count(), 3);
+  col.SetValue(0, Value(4.0));
+  EXPECT_EQ(col.null_count(), 2);
+
+  // The encoder sees the NaN cells as the null group.
+  col.AppendDouble(-2.0);
+  col.AppendDouble(nan);
+  EncodedColumn enc = EncodeColumn(col);
+  EXPECT_EQ(enc.ranks, (std::vector<int32_t>{2, 0, 0, 1, 0}));
+  EXPECT_EQ(enc.cardinality, 3);
+  EXPECT_TRUE(enc.Decode(0).is_null());
 }
 
 TEST(ColumnDeathTest, TypeMismatchChecks) {
@@ -400,32 +430,369 @@ class EncoderPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EncoderPropertyTest, RankOrderMatchesValueOrder) {
   Rng rng(GetParam());
-  Column col("c", DataType::kInt64);
   const int n = 200;
-  for (int i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.1)) {
-      col.AppendNull();
-    } else {
-      col.AppendInt(rng.UniformInt(-50, 50));
+  for (DataType type :
+       {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+    SCOPED_TRACE(DataTypeToString(type));
+    Column col("c", type);
+    for (int i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.1)) {
+        col.AppendNull();
+        continue;
+      }
+      const int64_t v = rng.UniformInt(-50, 50);
+      switch (type) {
+        case DataType::kInt64:
+          col.AppendInt(v);
+          break;
+        case DataType::kDouble:
+          // Quarter steps, with -0.0 beside +0.0 and both infinities.
+          col.AppendDouble(v == -50   ? -0.0
+                           : v == 50  ? std::numeric_limits<double>::infinity()
+                           : v == -49 ? -std::numeric_limits<double>::infinity()
+                                      : static_cast<double>(v) / 4.0);
+          break;
+        case DataType::kString:
+          col.AppendString(std::string(static_cast<size_t>(v + 50) % 4, 'a') +
+                           static_cast<char>('a' + (v + 50) % 3));
+          break;
+      }
     }
-  }
-  EncodedColumn enc = EncodeColumn(col);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      Value a = col.GetValue(i);
-      Value b = col.GetValue(j);
-      int value_cmp = a.Compare(b);
-      int32_t ra = enc.ranks[static_cast<size_t>(i)];
-      int32_t rb = enc.ranks[static_cast<size_t>(j)];
-      int rank_cmp = ra < rb ? -1 : (ra > rb ? 1 : 0);
-      ASSERT_EQ(value_cmp, rank_cmp)
-          << a.ToString() << " vs " << b.ToString();
+    EncodedColumn enc = EncodeColumn(col);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        Value a = col.GetValue(i);
+        Value b = col.GetValue(j);
+        int value_cmp = a.Compare(b);
+        int32_t ra = enc.ranks[static_cast<size_t>(i)];
+        int32_t rb = enc.ranks[static_cast<size_t>(j)];
+        int rank_cmp = ra < rb ? -1 : (ra > rb ? 1 : 0);
+        ASSERT_EQ(value_cmp < 0 ? -1 : (value_cmp > 0 ? 1 : 0), rank_cmp)
+            << a.ToString() << " vs " << b.ToString();
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EncoderPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// ------------------------------------------------ Encoder differential --
+//
+// The encoder ranks cells through order-preserving keys (direct
+// addressing, a packed radix sort, or a pair sort when key and row bits
+// exceed 64) and strings through a hash table. The oracle below is the
+// comparator encoder it replaced: a stable sort of row ids, whose ranks,
+// cardinality and dictionary (the value at each rank's smallest row) the
+// new encoder must reproduce exactly.
+
+struct OracleEncoding {
+  std::vector<int32_t> ranks;
+  int32_t cardinality = 0;
+  std::vector<Value> dictionary;
+};
+
+template <typename Less, typename Equal>
+OracleEncoding RankByOrder(const Column& column, Less less, Equal equal) {
+  const int64_t n = column.size();
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), less);
+
+  OracleEncoding out;
+  out.ranks.assign(static_cast<size_t>(n), 0);
+  int32_t next_rank = -1;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || !equal(order[i - 1], order[i])) {
+      ++next_rank;
+      out.dictionary.push_back(column.GetValue(order[i]));
+    }
+    out.ranks[static_cast<size_t>(order[i])] = next_rank;
+  }
+  out.cardinality = next_rank + 1;
+  return out;
+}
+
+template <typename T>
+OracleEncoding OracleEncodeTyped(const Column& column,
+                                 const std::vector<T>& v) {
+  auto less = [&](int64_t a, int64_t b) {
+    bool an = column.IsNull(a);
+    bool bn = column.IsNull(b);
+    if (an || bn) return an && !bn;
+    return v[static_cast<size_t>(a)] < v[static_cast<size_t>(b)];
+  };
+  auto equal = [&](int64_t a, int64_t b) {
+    bool an = column.IsNull(a);
+    bool bn = column.IsNull(b);
+    if (an || bn) return an == bn;
+    return v[static_cast<size_t>(a)] == v[static_cast<size_t>(b)];
+  };
+  return RankByOrder(column, less, equal);
+}
+
+OracleEncoding OracleEncode(const Column& column) {
+  switch (column.type()) {
+    case DataType::kInt64:
+      return OracleEncodeTyped(column, column.ints());
+    case DataType::kDouble:
+      return OracleEncodeTyped(column, column.doubles());
+    case DataType::kString:
+      return OracleEncodeTyped(column, column.strings());
+  }
+  return {};
+}
+
+/// Same type and same bits: tells -0.0 from +0.0, unlike Value::operator==.
+bool SameCell(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.is_int()) return b.is_int() && a.as_int() == b.as_int();
+  if (a.is_double()) {
+    return b.is_double() && std::bit_cast<uint64_t>(a.as_double()) ==
+                                std::bit_cast<uint64_t>(b.as_double());
+  }
+  return b.is_string() && a.as_string() == b.as_string();
+}
+
+void ExpectMatchesOracle(const Column& column) {
+  const OracleEncoding want = OracleEncode(column);
+  const EncodedColumn got = EncodeColumn(column);
+  ASSERT_EQ(got.ranks, want.ranks);
+  ASSERT_EQ(got.cardinality, want.cardinality);
+  EXPECT_EQ(got.dictionary.type(), column.type());
+  ASSERT_EQ(got.dictionary.size(),
+            static_cast<int64_t>(want.dictionary.size()));
+  for (size_t r = 0; r < want.dictionary.size(); ++r) {
+    const Value v = got.Decode(static_cast<int32_t>(r));
+    EXPECT_TRUE(SameCell(v, want.dictionary[r]))
+        << "rank " << r << ": " << v.ToString() << " vs "
+        << want.dictionary[r].ToString();
+  }
+}
+
+Column IntColumn(const std::vector<int64_t>& values) {
+  Column col("c", DataType::kInt64);
+  for (int64_t v : values) col.AppendInt(v);
+  return col;
+}
+
+/// n cells drawn as lo + step * UniformInt(0, levels - 1), a share
+/// `null_rate` of them null.
+Column RandomIntColumn(Rng& rng, int64_t n, int64_t lo, int64_t step,
+                       int64_t levels, double null_rate = 0.1) {
+  Column col("c", DataType::kInt64);
+  for (int64_t i = 0; i < n; ++i) {
+    if (rng.Bernoulli(null_rate)) {
+      col.AppendNull();
+    } else {
+      col.AppendInt(lo + step * rng.UniformInt(0, levels - 1));
+    }
+  }
+  return col;
+}
+
+TEST(EncoderDifferentialTest, DenseSpan) {
+  // Span at most 4n + 2^16: ranked by direct addressing.
+  Rng rng(11);
+  ExpectMatchesOracle(RandomIntColumn(rng, 5000, -3000, 1, 6000));
+  ExpectMatchesOracle(RandomIntColumn(rng, 5000, 1000, 7, 40));
+  ExpectMatchesOracle(RandomIntColumn(rng, 3, 0, 1, 2, 0.0));
+  ExpectMatchesOracle(IntColumn({42}));
+  ExpectMatchesOracle(IntColumn({7, 7, 7, 7}));
+  // Both ends of the direct-addressing bound: 4n + 2^16 and one past it.
+  ExpectMatchesOracle(IntColumn({0, 16 + 65536, 5, 5}));
+  ExpectMatchesOracle(IntColumn({0, 16 + 65537, 5, 5}));
+}
+
+TEST(EncoderDifferentialTest, WideSpan) {
+  // Spans over 2^40 whose key and row bits fit one word: the radix path.
+  Rng rng(12);
+  ExpectMatchesOracle(
+      RandomIntColumn(rng, 4000, -(int64_t{1} << 50), int64_t{1} << 41, 900));
+  ExpectMatchesOracle(RandomIntColumn(rng, 4000, int64_t{1} << 62, 1 << 30,
+                                      int64_t{1} << 20));
+  // Span just under 2^60 with 16 rows: 60 key + 4 row bits, exactly 64.
+  std::vector<int64_t> values;
+  for (int i = 0; i < 16; ++i) {
+    values.push_back((i % 5) * ((int64_t{1} << 58) - 1) - (int64_t{1} << 40));
+  }
+  ExpectMatchesOracle(IntColumn(values));
+}
+
+TEST(EncoderDifferentialTest, OverSixtyFourBitsFallsBackToPairSort) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  // The full int64 span: hi - lo is 2^64 - 1, so span + 1 would wrap.
+  ExpectMatchesOracle(IntColumn({max, min, 0, max, -1, min, 1}));
+  ExpectMatchesOracle(IntColumn({min, max}));
+  // 60 key bits + 5 row bits for 17 rows: one bit over a word.
+  std::vector<int64_t> values;
+  for (int i = 0; i < 17; ++i) {
+    values.push_back((i % 5) * ((int64_t{1} << 58) - 1));
+  }
+  ExpectMatchesOracle(IntColumn(values));
+  Rng rng(13);
+  Column col("c", DataType::kInt64);
+  for (int i = 0; i < 3000; ++i) {
+    if (rng.Bernoulli(0.1)) {
+      col.AppendNull();
+    } else if (rng.Bernoulli(0.2)) {
+      col.AppendInt(rng.Bernoulli(0.5) ? min : max);
+    } else {
+      col.AppendInt(static_cast<int64_t>(rng.NextUint64()) >> 3);
+    }
+  }
+  ExpectMatchesOracle(col);
+}
+
+TEST(EncoderDifferentialTest, NullEmptyAndAllNullColumns) {
+  for (DataType type :
+       {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+    SCOPED_TRACE(DataTypeToString(type));
+    Column empty("c", type);
+    ExpectMatchesOracle(empty);
+    EXPECT_EQ(EncodeColumn(empty).cardinality, 0);
+    Column all_null("c", type);
+    for (int i = 0; i < 5; ++i) all_null.AppendNull();
+    ExpectMatchesOracle(all_null);
+    EXPECT_EQ(EncodeColumn(all_null).cardinality, 1);
+  }
+  Rng rng(14);
+  ExpectMatchesOracle(RandomIntColumn(rng, 2000, -10, 1, 20, 0.5));
+  ExpectMatchesOracle(
+      RandomIntColumn(rng, 2000, 0, int64_t{1} << 44, 100, 0.5));
+  Column one("c", DataType::kInt64);
+  one.AppendNull();
+  one.AppendInt(3);
+  one.AppendNull();
+  ExpectMatchesOracle(one);
+}
+
+TEST(EncoderDifferentialTest, SignedZerosKeepTheFirstRowsValue) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& values :
+       {std::vector<double>{-0.0, 0.0, 1.5, -0.0},
+        std::vector<double>{0.0, -0.0, -1.5, 0.0},
+        std::vector<double>{inf, -inf, -0.0, 0.0, -inf, inf, 2.0}}) {
+    Column col("c", DataType::kDouble);
+    col.AppendNull();
+    for (double v : values) col.AppendDouble(v);
+    ExpectMatchesOracle(col);
+  }
+  Column neg_first("c", DataType::kDouble);
+  neg_first.AppendDouble(-0.0);
+  neg_first.AppendDouble(0.0);
+  EncodedColumn enc = EncodeColumn(neg_first);
+  EXPECT_EQ(enc.ranks, (std::vector<int32_t>{0, 0}));
+  EXPECT_TRUE(std::signbit(enc.Decode(0).as_double()));
+}
+
+TEST(EncoderDifferentialTest, SignedZeroTiesOnEveryPath) {
+  // Many tied zeros whose first row has the other sign: a path that does
+  // not keep each rank's smallest row decodes the wrong zero.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  Rng rng(17);
+  for (int path = 0; path < 3; ++path) {
+    for (double first : {-0.0, 0.0}) {
+      SCOPED_TRACE(path);
+      Column col("c", DataType::kDouble);
+      bool first_zero = true;
+      for (int i = 0; i < 2000; ++i) {
+        if (rng.Bernoulli(0.3)) {
+          col.AppendDouble(first_zero ? first : -first);
+          first_zero = false;
+        } else if (path == 0) {  // span under 4n: direct addressing
+          col.AppendDouble(tiny * static_cast<double>(rng.UniformInt(1, 999)));
+        } else if (path == 1) {  // 41 key + 11 row bits: radix
+          col.AppendDouble(tiny *
+                           static_cast<double>(rng.UniformInt(1, 1LL << 40)));
+        } else {  // zeros beside normal values: over 64 bits, pair sort
+          col.AppendDouble(rng.Normal(0.0, 100.0));
+        }
+      }
+      ExpectMatchesOracle(col);
+    }
+  }
+}
+
+TEST(EncoderDifferentialTest, DoubleColumns) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(15);
+  // One binade with few mantissa bits (radix), then mixed signs and
+  // magnitudes (pair sort), each with ties, zeros and infinities.
+  for (int shape = 0; shape < 2; ++shape) {
+    Column col("c", DataType::kDouble);
+    for (int i = 0; i < 3000; ++i) {
+      const int64_t pick = rng.UniformInt(0, 99);
+      if (pick < 8) {
+        col.AppendNull();
+      } else if (shape == 0) {
+        col.AppendDouble(1.0 + static_cast<double>(rng.UniformInt(0, 400)) /
+                                   512.0);
+      } else if (pick < 12) {
+        col.AppendDouble(pick % 2 == 0 ? inf : -inf);
+      } else if (pick < 20) {
+        col.AppendDouble(pick % 2 == 0 ? 0.0 : -0.0);
+      } else if (pick < 24) {
+        col.AppendDouble(std::numeric_limits<double>::denorm_min() *
+                         static_cast<double>(pick - 21));
+      } else {
+        col.AppendDouble(rng.Normal(0.0, 1e6));
+      }
+    }
+    ExpectMatchesOracle(col);
+  }
+  Column extremes("c", DataType::kDouble);
+  for (double v : {std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::lowest(), 1.0, -1.0,
+                   std::numeric_limits<double>::min(), -0.0}) {
+    extremes.AppendDouble(v);
+  }
+  ExpectMatchesOracle(extremes);
+}
+
+TEST(EncoderDifferentialTest, StringColumns) {
+  Column col("c", DataType::kString);
+  for (const char* v : {"abc", "ab", "", "abd", "a", "b", "ab", "", "abcd",
+                        "\xff", "a b", "abc"}) {
+    col.AppendString(v);
+  }
+  col.AppendString(std::string("a\0b", 3));
+  col.AppendString(std::string("a\0", 2));
+  col.AppendNull();
+  ExpectMatchesOracle(col);
+
+  Rng rng(16);
+  Column random("c", DataType::kString);
+  for (int i = 0; i < 5000; ++i) {
+    if (rng.Bernoulli(0.05)) {
+      random.AppendNull();
+      continue;
+    }
+    std::string s = "prefix/";
+    const int64_t len = rng.UniformInt(0, 4);
+    for (int64_t k = 0; k < len; ++k) {
+      s.push_back(static_cast<char>('x' + rng.UniformInt(0, 2)));
+    }
+    random.AppendString(std::move(s));
+  }
+  ExpectMatchesOracle(random);
+}
+
+TEST(EncoderDifferentialTest, RandomColumnsAcrossPaths) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const int64_t n = rng.UniformInt(1, 3000);
+    const int64_t levels = rng.UniformInt(1, 2 * n);
+    // Spans from a few values up to 2^62, centred on zero.
+    const int max_shift = 62 - std::bit_width(static_cast<uint64_t>(levels));
+    const int64_t step = int64_t{1} << rng.UniformInt(0, max_shift);
+    const int64_t lo = -step * (levels / 2);
+    ExpectMatchesOracle(RandomIntColumn(rng, n, lo, step, levels,
+                                        rng.UniformDouble() * 0.3));
+  }
+}
 
 }  // namespace
 }  // namespace aod

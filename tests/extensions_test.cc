@@ -384,7 +384,7 @@ TEST(EncoderDictionaryTest, DecodeRoundTrip) {
     col.AppendString(v);
   }
   EncodedColumn enc = EncodeColumn(col);
-  ASSERT_EQ(enc.dictionary.size(), 3u);
+  ASSERT_EQ(enc.dictionary.size(), 3);
   EXPECT_EQ(enc.Decode(0), Value("apple"));
   EXPECT_EQ(enc.Decode(1), Value("fig"));
   EXPECT_EQ(enc.Decode(2), Value("pear"));

@@ -104,10 +104,8 @@ TEST(StrippedPartitionTest, FromClassesStrips) {
 
 TEST(StrippedPartitionTest, ProductSimple) {
   // A: {0,1,2,3} all equal; B: {0,1} vs {2,3} -> product {0,1},{2,3}.
-  EncodedColumn a{
-      .name = "a", .ranks = {0, 0, 0, 0}, .cardinality = 1, .dictionary = {}};
-  EncodedColumn b{
-      .name = "b", .ranks = {0, 0, 1, 1}, .cardinality = 2, .dictionary = {}};
+  EncodedColumn a{.name = "a", .ranks = {0, 0, 0, 0}, .cardinality = 1};
+  EncodedColumn b{.name = "b", .ranks = {0, 0, 1, 1}, .cardinality = 2};
   auto pa = StrippedPartition::FromColumn(a);
   auto pb = StrippedPartition::FromColumn(b);
   StrippedPartition prod = pa.Product(pb, 4);
@@ -116,10 +114,8 @@ TEST(StrippedPartitionTest, ProductSimple) {
 }
 
 TEST(StrippedPartitionTest, ProductToSingletonsIsEmpty) {
-  EncodedColumn a{
-      .name = "a", .ranks = {0, 0, 1, 1}, .cardinality = 2, .dictionary = {}};
-  EncodedColumn b{
-      .name = "b", .ranks = {0, 1, 0, 1}, .cardinality = 2, .dictionary = {}};
+  EncodedColumn a{.name = "a", .ranks = {0, 0, 1, 1}, .cardinality = 2};
+  EncodedColumn b{.name = "b", .ranks = {0, 1, 0, 1}, .cardinality = 2};
   auto pa = StrippedPartition::FromColumn(a);
   auto pb = StrippedPartition::FromColumn(b);
   StrippedPartition prod = pa.Product(pb, 4);
