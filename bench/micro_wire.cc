@@ -7,7 +7,7 @@
 // frame ships in its one fixed-width layout. Shapes mirror what
 // actually crosses the seam in exp8: low-cardinality base partitions,
 // derived partitions with more classes, per-level candidate batches,
-// and result chunks with and without removal rows.
+// and result batches with and without removal rows.
 //
 // With --json <path> the series is written as machine-readable JSON (CI
 // uploads it as BENCH_micro_wire.json).
@@ -218,8 +218,8 @@ int main(int argc, char** argv) {
   // Workload shapes. Base: one low-cardinality column partition (what
   // Init ships to every shard). Derived: a two-column product (more,
   // smaller classes — what budgeted re-derivation re-ships). Level
-  // batch: ~2000 near-sequential candidates; result chunks at the
-  // runner's 512-outcome grain.
+  // batch: ~2000 near-sequential candidates; result batches of 512
+  // outcomes.
   EncodedTable base_table = RandomEncodedTable(rows, 2, 16, 42);
   StrippedPartition base =
       StrippedPartition::FromColumn(base_table.column(0));
@@ -233,8 +233,8 @@ int main(int argc, char** argv) {
       MeasurePartition("base_card16", base, rows),
       MeasurePartition("derived_product", derived, rows),
       MeasureCandidates("level_batch_2k", MakeCandidates(2000)),
-      MeasureResults("chunk_512", MakeOutcomes(512, false)),
-      MeasureResults("chunk_512_removal", MakeOutcomes(512, true)),
+      MeasureResults("result_512", MakeOutcomes(512, false)),
+      MeasureResults("result_512_removal", MakeOutcomes(512, true)),
       MeasureTable("table_10col_card300", wide_table),
   };
 

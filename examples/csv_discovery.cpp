@@ -102,6 +102,11 @@ Args ParseArgs(int argc, char** argv) {
     };
     if (const char* v = value_of("--epsilon=")) {
       args.epsilon = std::atof(v);
+      if (!(args.epsilon >= 0.0 && args.epsilon <= 1.0)) {
+        std::fprintf(stderr, "--epsilon: want a fraction in [0, 1],"
+                             " got '%s'\n", v);
+        args.ok = false;
+      }
     } else if (const char* v = value_of("--kinds=")) {
       Result<DependencyKindSet> kinds = DependencyKindSet::Parse(v);
       if (!kinds.ok()) {
@@ -145,6 +150,11 @@ Args ParseArgs(int argc, char** argv) {
       args.memory_budget_mb = std::atoll(v);
     } else if (const char* v = value_of("--shards=")) {
       args.shards = std::atoi(v);
+      if (args.shards < 0 || args.shards > 1024) {
+        std::fprintf(stderr, "--shards: want 0 (unsharded) to 1024,"
+                             " got '%s'\n", v);
+        args.ok = false;
+      }
     } else if (const char* v = value_of("--shard-transport=")) {
       std::string kind = v;
       if (kind == "inproc") {
@@ -204,6 +214,12 @@ int main(int argc, char** argv) {
   if (args.file.empty()) {
     std::printf("(no file given; profiling an embedded sample — pass a"
                 " CSV path to profile your own data)\n");
+  }
+  if (table->num_columns() > AttributeSet::kMaxAttributes) {
+    std::fprintf(stderr, "error: the table has %d columns; at most %d are"
+                         " supported\n",
+                 table->num_columns(), AttributeSet::kMaxAttributes);
+    return 2;
   }
   std::printf("schema: %s\n", table->schema().ToString().c_str());
   std::printf("rows:   %lld\n\n",

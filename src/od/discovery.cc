@@ -12,10 +12,8 @@
 #include "exec/parallel_for.h"
 #include "exec/task_group.h"
 #include "exec/thread_pool.h"
-#include "od/interestingness.h"
 #include "od/lattice.h"
 #include "od/validator_registry.h"
-#include "od/validator_scratch.h"
 #include "partition/partition_cache.h"
 #include "shard/coordinator.h"
 
@@ -108,14 +106,12 @@ struct Driver {
   bool ofd_enabled;
   bool fd_enabled;
   bool afd_enabled;
-  double epsilon;
   PartitionCache cache;
   DiscoveryResult result;
   Stopwatch total_clock;
   std::atomic<bool> deadline_hit{false};
   std::atomic<bool> cancel_hit{false};
 
-  std::unique_ptr<AocSampler> sampler;
   /// Pool the run executes on: borrowed from options.pool, created for
   /// the run when only num_threads is set, or null for a serial run.
   std::unique_ptr<exec::ThreadPool> owned_pool;
@@ -138,11 +134,9 @@ struct Driver {
   std::unique_ptr<shard::ShardCoordinator> coordinator;
   Status coordinator_status;
 
-  /// Validator scratch is pooled like PartitionScratch: a worker borrows
-  /// one instance per validation task, so steady-state validation does no
-  /// heap allocation regardless of class count or candidate count.
-  std::mutex vscratch_mutex;
-  std::vector<std::unique_ptr<ValidatorScratch>> free_vscratch;
+  /// Unsharded validation. With sharding each runner owns an identically
+  /// configured validator, so this one builds no sampler.
+  CandidateValidator validator;
 
   Driver(const EncodedTable& t, const DiscoveryOptions& o)
       : table(t),
@@ -152,8 +146,12 @@ struct Driver {
         ofd_enabled(o.kinds.Contains(DependencyKind::kOfd)),
         fd_enabled(o.kinds.Contains(DependencyKind::kFd)),
         afd_enabled(o.kinds.Contains(DependencyKind::kAfd)),
-        epsilon(o.validator == ValidatorKind::kExact ? 0.0 : o.epsilon),
-        cache(&t, PartitionCache::DeferBasePartitions{}) {
+        cache(&t, PartitionCache::DeferBasePartitions{}),
+        validator(&t, o.validator, o.epsilon, o.afd_error,
+                  o.collect_removal_sets,
+                  o.enable_sampling_filter && o.num_shards < 1
+                      ? &o.sampler_config
+                      : nullptr) {
     // Base partitions are built exactly once per run: into this cache
     // for unsharded validation, or by the coordinator (which ships them
     // to the shard caches) when sharding is on — the driver cache then
@@ -171,13 +169,6 @@ struct Driver {
                           ? StrippedPartition(*(*warm)[static_cast<size_t>(a)])
                           : StrippedPartition::FromColumn(table.column(a)));
       }
-    }
-    if (options.enable_sampling_filter &&
-        options.validator == ValidatorKind::kOptimal &&
-        options.num_shards < 1) {
-      // With sharding each runner owns an identically seeded sampler; a
-      // coordinator-side instance would never be consulted.
-      sampler = std::make_unique<AocSampler>(&table, options.sampler_config);
     }
     int threads = options.num_threads == 0
                       ? exec::ThreadPool::HardwareConcurrency()
@@ -259,31 +250,6 @@ struct Driver {
     opts.grain = grain;
     opts.cancel = [this] { return OverBudget(); };
     return opts;
-  }
-
-  /// Context partition lookup. Contexts were eagerly materialized while
-  /// processing the level below, so this is normally a pure cache hit;
-  /// Get() stays safe (and value-deterministic) either way.
-  std::shared_ptr<const StrippedPartition> Lookup(AttributeSet set) {
-    return cache.Get(set);
-  }
-
-  std::unique_ptr<ValidatorScratch> AcquireValidatorScratch() {
-    {
-      std::lock_guard<std::mutex> lock(vscratch_mutex);
-      if (!free_vscratch.empty()) {
-        std::unique_ptr<ValidatorScratch> scratch =
-            std::move(free_vscratch.back());
-        free_vscratch.pop_back();
-        return scratch;
-      }
-    }
-    return std::make_unique<ValidatorScratch>();
-  }
-
-  void ReleaseValidatorScratch(std::unique_ptr<ValidatorScratch> scratch) {
-    std::lock_guard<std::mutex> lock(vscratch_mutex);
-    free_vscratch.push_back(std::move(scratch));
   }
 
   /// Phase 1 (parallel over nodes): candidate generation against the
@@ -398,34 +364,20 @@ struct Driver {
   /// Phase 2 (parallel over candidates): one validation through the
   /// kind-keyed registry, writing only its own outcome slot.
   void ValidateCandidate(const Candidate& c, CandidateOutcome* out) {
-    auto partition = Lookup(c.context);
-    std::unique_ptr<ValidatorScratch> scratch = AcquireValidatorScratch();
-
-    ValidationRequest request;
-    request.table = &table;
-    request.context_partition = partition.get();
-    request.kind = c.kind;
-    request.target = c.target;
-    request.pair = c.oc_pair;
-    request.algorithm = options.validator;
-    request.epsilon = epsilon;
-    request.afd_error = options.afd_error;
-    request.table_rows = table.num_rows();
-    request.options.collect_removal_set = options.collect_removal_sets;
-    request.sampler = sampler.get();
-    request.scratch = scratch.get();
-
-    Stopwatch sw;
-    DependencyVerdict verdict = ValidateDependency(request);
-    out->outcome.valid = verdict.valid;
-    out->outcome.approx_factor = verdict.error;
-    out->outcome.removal_size = verdict.removal_size;
-    out->outcome.early_exit = verdict.early_exit;
-    out->outcome.removal_rows = std::move(verdict.removal_rows);
-    out->seconds = sw.ElapsedSeconds();
-    ReleaseValidatorScratch(std::move(scratch));
-    out->interestingness =
-        InterestingnessScore(*partition, c.context.size(), table.num_rows());
+    // Contexts are prefetched during the previous level's merge, so this
+    // is normally a cache hit; Get() derives (value-deterministically)
+    // when the prefetch has not landed yet.
+    const std::shared_ptr<const StrippedPartition> partition =
+        cache.Get(c.context);
+    CandidateVerdict v =
+        validator.Validate(c.context, *partition, c.kind, c.target, c.oc_pair);
+    out->outcome.valid = v.verdict.valid;
+    out->outcome.approx_factor = v.verdict.error;
+    out->outcome.removal_size = v.verdict.removal_size;
+    out->outcome.early_exit = v.verdict.early_exit;
+    out->outcome.removal_rows = std::move(v.verdict.removal_rows);
+    out->seconds = v.seconds;
+    out->interestingness = v.interestingness;
     out->done = 1;
   }
 
@@ -668,12 +620,11 @@ struct Driver {
           w.opposite = c.oc_pair.opposite;
           wire.push_back(w);
         }
-        // Receive-overlapped folding: outcomes land in their slots as
-        // each result chunk decodes, while later shards' bytes are still
-        // in flight — the slot keys are deterministic, so fold order
-        // never affects the merge below. Slots cross the wire, so they
-        // cross a trust boundary: a skewed or misbehaving runner must
-        // yield a typed abort, not a CHECK crash.
+        // Each shard's reply is buffered until every shard finished the
+        // level; the coordinator then folds the outcomes into their slots
+        // in shard order. Slots cross the wire, so they cross a trust
+        // boundary: a skewed or misbehaving runner must yield a typed
+        // abort, not a CHECK crash.
         Status fold_status;
         Status st = coordinator->ValidateBatch(
             wire, [this] { return OverBudget(); },

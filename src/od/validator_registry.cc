@@ -1,8 +1,10 @@
 #include "od/validator_registry.h"
 
+#include "common/stopwatch.h"
 #include "od/aoc_iterative_validator.h"
 #include "od/aoc_lis_validator.h"
 #include "od/fd_validator.h"
+#include "od/interestingness.h"
 #include "od/oc_validator.h"
 #include "od/ofd_validator.h"
 
@@ -74,6 +76,63 @@ DependencyVerdict ValidateDependency(const ValidationRequest& request) {
                                        vopts, request.scratch));
   }
   return DependencyVerdict{};
+}
+
+CandidateValidator::CandidateValidator(const EncodedTable* table,
+                                       ValidatorKind algorithm, double epsilon,
+                                       double afd_error,
+                                       bool collect_removal_sets,
+                                       const SamplerConfig* sampler_config)
+    : table_(table),
+      algorithm_(algorithm),
+      epsilon_(algorithm == ValidatorKind::kExact ? 0.0 : epsilon),
+      afd_error_(afd_error),
+      collect_removal_sets_(collect_removal_sets) {
+  if (sampler_config != nullptr && algorithm == ValidatorKind::kOptimal) {
+    // Seeded from the config alone, so every site given the same config
+    // draws the same sample and fast-rejects the same candidates.
+    sampler_ = std::make_unique<AocSampler>(table, *sampler_config);
+  }
+}
+
+CandidateVerdict CandidateValidator::Validate(
+    AttributeSet context, const StrippedPartition& context_partition,
+    DependencyKind kind, int target, const AttributePair& pair) {
+  std::unique_ptr<ValidatorScratch> scratch;
+  {
+    std::lock_guard<std::mutex> lock(scratch_mutex_);
+    if (!free_scratch_.empty()) {
+      scratch = std::move(free_scratch_.back());
+      free_scratch_.pop_back();
+    }
+  }
+  if (scratch == nullptr) scratch = std::make_unique<ValidatorScratch>();
+
+  ValidationRequest request;
+  request.table = table_;
+  request.context_partition = &context_partition;
+  request.kind = kind;
+  request.target = target;
+  request.pair = pair;
+  request.algorithm = algorithm_;
+  request.epsilon = epsilon_;
+  request.afd_error = afd_error_;
+  request.table_rows = table_->num_rows();
+  request.options.collect_removal_set = collect_removal_sets_;
+  request.sampler = sampler_.get();
+  request.scratch = scratch.get();
+
+  CandidateVerdict out;
+  Stopwatch sw;
+  out.verdict = ValidateDependency(request);
+  out.seconds = sw.ElapsedSeconds();
+  {
+    std::lock_guard<std::mutex> lock(scratch_mutex_);
+    free_scratch_.push_back(std::move(scratch));
+  }
+  out.interestingness = InterestingnessScore(context_partition, context.size(),
+                                             table_->num_rows());
+  return out;
 }
 
 }  // namespace aod

@@ -20,13 +20,18 @@
 // The dispatch is a pure function of the request (the sampler, when
 // present, is seeded per run), which is what lets a shard runner and the
 // in-process driver produce bit-identical outcomes from the same
-// candidate.
+// candidate. Both build that request through one CandidateValidator, so
+// the per-run settings (exact-validator epsilon, sampler, scratch pool)
+// cannot drift apart either.
 #ifndef AOD_OD_VALIDATOR_REGISTRY_H_
 #define AOD_OD_VALIDATOR_REGISTRY_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
+#include "common/macros.h"
 #include "data/encoder.h"
 #include "od/canonical_od.h"
 #include "od/dependency_kind.h"
@@ -41,7 +46,7 @@ namespace aod {
 /// Everything one validation needs. `target` is the RHS attribute for
 /// kOfd/kFd/kAfd; `pair` is the OC pair for kOc (its polarity rides in
 /// pair.opposite). `epsilon` must already be zeroed for the exact
-/// validator (the driver and runner both do this once per run).
+/// validator (CandidateValidator does this once per run).
 struct ValidationRequest {
   const EncodedTable* table = nullptr;
   const StrippedPartition* context_partition = nullptr;
@@ -76,6 +81,54 @@ struct DependencyVerdict {
 /// function never touches shared mutable state, so concurrent calls on
 /// distinct scratch instances are safe.
 DependencyVerdict ValidateDependency(const ValidationRequest& request);
+
+/// A verdict plus the two per-candidate numbers both validation sites
+/// report with it.
+struct CandidateVerdict {
+  DependencyVerdict verdict;
+  /// InterestingnessScore of the candidate's context.
+  double interestingness = 0.0;
+  /// CPU seconds of the ValidateDependency call (timing; exempt from the
+  /// determinism contract).
+  double seconds = 0.0;
+};
+
+/// The candidate-validation unit of one run, shared by the discovery
+/// driver and the shard runner so both build the identical request: the
+/// epsilon is zeroed once for the exact validator, the sampler is one
+/// seeded instance per run, and ValidatorScratch instances are pooled so
+/// steady-state validation does no heap allocation. Validate is safe to
+/// call concurrently.
+class CandidateValidator {
+ public:
+  /// `epsilon` is the raw threshold. `sampler_config` (nullable) enables
+  /// the sampling fast-reject, which only the optimal validator uses.
+  /// `table` is borrowed and must outlive the validator.
+  CandidateValidator(const EncodedTable* table, ValidatorKind algorithm,
+                     double epsilon, double afd_error,
+                     bool collect_removal_sets,
+                     const SamplerConfig* sampler_config);
+  AOD_DISALLOW_COPY_AND_ASSIGN(CandidateValidator);
+
+  /// Validates one candidate against its resolved context partition.
+  /// `target` is the RHS attribute of the target kinds, `pair` the kOc
+  /// pair.
+  CandidateVerdict Validate(AttributeSet context,
+                            const StrippedPartition& context_partition,
+                            DependencyKind kind, int target,
+                            const AttributePair& pair);
+
+ private:
+  const EncodedTable* const table_;
+  const ValidatorKind algorithm_;
+  const double epsilon_;
+  const double afd_error_;
+  const bool collect_removal_sets_;
+  std::unique_ptr<AocSampler> sampler_;
+
+  std::mutex scratch_mutex_;
+  std::vector<std::unique_ptr<ValidatorScratch>> free_scratch_;
+};
 
 }  // namespace aod
 

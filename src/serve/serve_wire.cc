@@ -10,6 +10,10 @@ using shard::WireWriter;
 
 namespace {
 
+/// kJobResultBatch flag bits (payload: u64 job id, u8 flags, varint blob
+/// length, blob bytes).
+constexpr uint8_t kJobResultFlagFinalChunk = 0x01;
+
 Status ExpectType(const DecodedFrame& frame, FrameType want,
                   const char* what) {
   if (frame.type != want) {
@@ -127,6 +131,9 @@ Result<WireJobSubmit> DecodeJobSubmit(const DecodedFrame& frame) {
   }
   AOD_RETURN_NOT_OK(r.GetI32(&o.max_level));
   AOD_RETURN_NOT_OK(r.GetI32(&o.max_lhs_arity));
+  if (o.max_lhs_arity < 0) {
+    return Status::ParseError("job submit: negative max_lhs_arity");
+  }
   uint8_t flag = 0;
   AOD_RETURN_NOT_OK(r.GetU8(&flag));
   o.bidirectional = flag != 0;
@@ -223,7 +230,7 @@ Result<WireJobError> DecodeJobError(const DecodedFrame& frame) {
 std::vector<uint8_t> EncodeJobResultChunk(const WireJobResultChunk& chunk) {
   WireWriter w;
   w.PutU64(chunk.job_id);
-  w.PutU8(chunk.final_chunk ? shard::kResultFlagFinalChunk : 0);
+  w.PutU8(chunk.final_chunk ? kJobResultFlagFinalChunk : 0);
   w.PutVarint(chunk.blob_bytes.size());
   w.PutBytes(chunk.blob_bytes.data(), chunk.blob_bytes.size());
   return w.SealFrame(FrameType::kJobResultBatch);
@@ -237,10 +244,10 @@ Result<WireJobResultChunk> DecodeJobResultChunk(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(r.GetU64(&chunk.job_id));
   uint8_t flags = 0;
   AOD_RETURN_NOT_OK(r.GetU8(&flags));
-  if ((flags & ~shard::kResultFlagFinalChunk) != 0) {
+  if ((flags & ~kJobResultFlagFinalChunk) != 0) {
     return Status::ParseError("job result: unknown flag bits");
   }
-  chunk.final_chunk = (flags & shard::kResultFlagFinalChunk) != 0;
+  chunk.final_chunk = (flags & kJobResultFlagFinalChunk) != 0;
   uint64_t blob_bytes = 0;
   AOD_RETURN_NOT_OK(r.GetVarint(&blob_bytes));
   if (blob_bytes != r.remaining()) {

@@ -3,8 +3,8 @@
 // A DiscoveryClient and a DiscoveryServer exchange the serve frame types
 // (wire.h, FrameType 9-13) over an ordinary ShardChannel, so the job
 // protocol inherits the shard seam's entire robustness stack for free:
-// magic/version/checksum validation, bounded frame sizes, bounds-checked
-// payload reads, kBatch coalescing. This module owns only the payload
+// magic/version/checksum validation, bounded frame sizes and
+// bounds-checked payload reads. This module owns only the payload
 // layouts; nothing here does I/O.
 //
 // Conversation shape (one TCP connection, any number of jobs):
@@ -143,8 +143,7 @@ Result<WireJobError> DecodeJobError(const shard::DecodedFrame& frame);
 
 /// One slice of a finished job's serialized result blob
 /// (od/result_io.h, SerializeResult). The client concatenates slices in
-/// arrival order and deserializes once the final chunk lands — the same
-/// chunking discipline as the shard seam's kResultBatch, so a large
+/// arrival order and deserializes once the final chunk lands, so a large
 /// result streams under the frame-size bound instead of materializing
 /// one giant frame.
 struct WireJobResultChunk {

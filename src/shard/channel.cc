@@ -38,50 +38,6 @@ int PollTimeoutMs(bool bounded, Clock::time_point deadline) {
 
 }  // namespace
 
-// --------------------------------------------------------------- batching --
-
-Status BatchingFrameSender::Add(std::vector<uint8_t> frame) {
-  pending_bytes_ += frame.size();
-  pending_.push_back(std::move(frame));
-  if (pending_bytes_ >= threshold_) return Flush();
-  return Status::OK();
-}
-
-Status BatchingFrameSender::Flush() {
-  if (pending_.empty()) return Status::OK();
-  std::vector<uint8_t> out = pending_.size() == 1
-                                 ? std::move(pending_.front())
-                                 : EncodeBatchEnvelope(pending_);
-  pending_.clear();
-  pending_bytes_ = 0;
-  return channel_->Send(std::move(out));
-}
-
-Result<std::vector<uint8_t>> LogicalFrameReceiver::Receive() {
-  if (!pending_.empty()) {
-    std::vector<uint8_t> frame = std::move(pending_.front());
-    pending_.pop_front();
-    return frame;
-  }
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, channel_->Receive());
-  // Cheap peek: only a well-formed header typed kBatch takes the unwrap
-  // path; everything else (including garbage) goes to the consumer's
-  // own DecodeFrame, which owns the error reporting.
-  if (frame.size() < kFrameHeaderBytes ||
-      endian::LoadU32(frame.data()) != kWireMagic ||
-      endian::LoadU16(frame.data() + 6) !=
-          static_cast<uint16_t>(FrameType::kBatch)) {
-    return frame;
-  }
-  AOD_ASSIGN_OR_RETURN(DecodedFrame decoded, DecodeFrame(frame));
-  AOD_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> inner,
-                       UnpackBatchEnvelope(decoded));
-  for (std::vector<uint8_t>& f : inner) pending_.push_back(std::move(f));
-  std::vector<uint8_t> first = std::move(pending_.front());
-  pending_.pop_front();
-  return first;
-}
-
 // ------------------------------------------------------------- in-process --
 
 Status InProcessChannel::Send(std::vector<uint8_t> frame) {

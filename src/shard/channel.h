@@ -85,66 +85,6 @@ class ShardChannel {
   virtual int64_t bytes_received() const = 0;
 };
 
-/// Writer-side frame coalescing: buffers small frames and ships them as
-/// one kBatch envelope, so byte transports pay one syscall + header per
-/// flush instead of per frame. Add() auto-flushes once the buffered
-/// bytes reach the threshold; callers flush explicitly on protocol
-/// boundaries (end of a level's candidates, final result chunk). A
-/// flush of one pending frame sends it unwrapped — the envelope only
-/// exists where it saves something — so batching never changes what a
-/// decoder has to accept, only how frames are grouped in transit.
-///
-/// Envelope boundaries are a pure function of the frame sequence (sizes
-/// against a fixed threshold), which keeps the bit-identical-across-
-/// transports contract intact. Not thread-safe; each link's sender is
-/// driven by one thread.
-class BatchingFrameSender {
- public:
-  static constexpr size_t kDefaultFlushThresholdBytes = 64 * 1024;
-
-  explicit BatchingFrameSender(
-      ShardChannel* channel,
-      size_t flush_threshold_bytes = kDefaultFlushThresholdBytes)
-      : channel_(channel), threshold_(flush_threshold_bytes) {}
-  AOD_DISALLOW_COPY_AND_ASSIGN(BatchingFrameSender);
-
-  /// Buffers one complete frame; flushes if the buffer reaches the
-  /// threshold. A failed flush surfaces here.
-  Status Add(std::vector<uint8_t> frame);
-
-  /// Sends everything buffered: nothing pending is a no-op, one frame
-  /// goes unwrapped, two or more become a single kBatch envelope.
-  Status Flush();
-
-  /// Buffered (unsent) frame count — for tests.
-  size_t pending_frames() const { return pending_.size(); }
-
- private:
-  ShardChannel* const channel_;
-  const size_t threshold_;
-  size_t pending_bytes_ = 0;
-  std::vector<std::vector<uint8_t>> pending_;
-};
-
-/// Receiver-side mirror of BatchingFrameSender: yields logical frames,
-/// transparently unwrapping kBatch envelopes (validated checksum-first
-/// via DecodeFrame before any inner frame is surfaced). Consumers keep
-/// seeing exactly the frame sequence the sender produced, enveloped or
-/// not. Not thread-safe.
-class LogicalFrameReceiver {
- public:
-  explicit LogicalFrameReceiver(ShardChannel* channel) : channel_(channel) {}
-  AOD_DISALLOW_COPY_AND_ASSIGN(LogicalFrameReceiver);
-
-  /// Next logical frame: a pending envelope member if one is queued,
-  /// otherwise whatever the channel delivers (unwrapped on the fly).
-  Result<std::vector<uint8_t>> Receive();
-
- private:
-  ShardChannel* const channel_;
-  std::deque<std::vector<uint8_t>> pending_;
-};
-
 /// The in-process transport: a mutex + condition-variable frame queue.
 /// Any number of senders and receivers; frames arrive in send order.
 class InProcessChannel final : public ShardChannel {

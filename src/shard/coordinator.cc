@@ -35,26 +35,13 @@ Status ShardCoordinator::Init(int num_shards,
   // in-process fallback, so re-seeding costs sends, not re-encodes.
   bootstrap_.table = table_;
   bootstrap_.runner_options = runner_options;
-  // One kPartitionBlock per base (level-1) partition, shipped to every
-  // shard as a single kBatch envelope — one syscall per seeding instead
-  // of one per base. Socket sends are buffered by the channel's writer
-  // thread, so even a serial coordinator cannot deadlock against an
-  // unserved peer.
+  // One kPartitionBlock frame per base (level-1) partition.
   const int k = table_->num_columns();
-  std::vector<std::vector<uint8_t>> base_frames;
-  base_frames.reserve(static_cast<size_t>(k));
+  bootstrap_.base_frames.reserve(static_cast<size_t>(k));
   for (int a = 0; a < k; ++a) {
-    base_frames.push_back(EncodePartitionBlock(
+    bootstrap_.base_frames.push_back(EncodePartitionBlock(
         AttributeSet().With(a),
         StrippedPartition::FromColumn(table_->column(a))));
-    bootstrap_.base_frame_bytes +=
-        static_cast<int64_t>(base_frames.back().size());
-  }
-  bootstrap_.base_frames = k;
-  if (k == 1) {
-    bootstrap_.base_shipment = std::move(base_frames[0]);
-  } else if (k > 1) {
-    bootstrap_.base_shipment = EncodeBatchEnvelope(base_frames);
   }
 
   supervisors_.reserve(static_cast<size_t>(num_shards));
@@ -98,8 +85,8 @@ Status ShardCoordinator::ValidateBatch(
   };
   std::vector<LevelCell> cells(static_cast<size_t>(n));
 
-  // Each shard's ship/validate/receive round is one task: chunk decode
-  // and (supervised) retry ladders overlap across shards, while the
+  // Each shard's ship/validate/receive round is one task, so shards
+  // validate, decode and (supervised) retry concurrently, while the
   // serial shard-order fold below keeps delivery deterministic.
   exec::TaskGroup group(pool_);
   for (int s = 0; s < n; ++s) {

@@ -127,8 +127,8 @@ class ShardCoordinator {
   /// round as one supervised task (concurrent across shards on the
   /// pool). `fold` is then invoked per outcome — shard order outside,
   /// ascending slots within a shard — after every shard's level
-  /// completed. Replies are buffered per shard while in flight (chunk
-  /// decode overlaps across shards on the pool); buffering is what lets
+  /// completed. Each shard's reply is buffered by its own task (decode
+  /// runs concurrently across shards on the pool); buffering is what lets
   /// a retried level fold only the successful attempt's outcomes,
   /// keeping the merge bit-identical under any fault schedule. Nothing
   /// is folded on a non-OK return. Candidates a shard did not finish
@@ -157,7 +157,7 @@ class ShardCoordinator {
 
   /// Frame bytes of one frame type, counted at the coordinator's
   /// encode/decode sites — the per-frame-type breakdown exp8 reports.
-  /// Envelope and bootstrap framing overhead is not attributed here.
+  /// Only the shutdown and stats-footer frames are not attributed here.
   int64_t frame_bytes(FrameType type) const;
 
   /// Every counter of the collected stats footers summed over the shards

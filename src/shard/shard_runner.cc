@@ -6,8 +6,6 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "exec/parallel_for.h"
-#include "od/interestingness.h"
-#include "od/validator_registry.h"
 
 namespace aod {
 namespace shard {
@@ -19,24 +17,19 @@ ShardRunner::ShardRunner(int shard_id, const EncodedTable* table,
     : shard_id_(shard_id),
       table_(table),
       options_(options),
-      epsilon_(options.validator == ValidatorKind::kExact ? 0.0
-                                                          : options.epsilon),
       inbox_(inbox),
       outbox_(outbox),
-      receiver_(inbox),
       pool_(pool),
-      cache_(table, PartitionCache::DeferBasePartitions{}) {
+      cache_(table, PartitionCache::DeferBasePartitions{}),
+      validator_(table, options.validator, options.epsilon, options.afd_error,
+                 options.collect_removal_sets,
+                 options.enable_sampling_filter ? &options.sampler_config
+                                                : nullptr) {
   AOD_CHECK(table != nullptr && inbox != nullptr && outbox != nullptr);
-  if (options_.enable_sampling_filter &&
-      options_.validator == ValidatorKind::kOptimal) {
-    // Same seeded sample as any other site given the same config, so
-    // fast-reject decisions match the unsharded run bit for bit.
-    sampler_ = std::make_unique<AocSampler>(table_, options_.sampler_config);
-  }
 }
 
 Status ShardRunner::ServeOne(const std::function<bool()>& cancel) {
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, receiver_.Receive());
+  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, inbox_->Receive());
   AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
   ++frames_served_;
   switch (frame.type) {
@@ -49,7 +42,6 @@ Status ShardRunner::ServeOne(const std::function<bool()>& cancel) {
     case FrameType::kResultBatch:
     case FrameType::kTableBlock:
     case FrameType::kStatsFooter:
-    case FrameType::kBatch:  // the receiver already unwrapped envelopes
     case FrameType::kJobSubmit:  // serve-layer vocabulary; never shard-bound
     case FrameType::kJobStatus:
     case FrameType::kJobResultBatch:
@@ -126,31 +118,15 @@ Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
                     },
                     popts);
 
-  // Reply in batch (= ascending slot) order with whatever completed, so
-  // the frame bytes are deterministic whenever the batch ran to the end.
+  // Reply with one frame, in batch (= ascending slot) order, carrying
+  // whatever completed, so the frame bytes are deterministic whenever the
+  // batch ran to the end.
   std::vector<WireOutcome> completed;
   completed.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     if (done[i]) completed.push_back(std::move(outcomes[i]));
   }
-
-  // Stream the reply as bounded chunks (last one final-flagged) through
-  // the coalescing sender: the coordinator starts folding early chunks
-  // while later candidates' bytes are still in flight, and several tiny
-  // chunks ride one envelope instead of paying per-frame overhead.
-  constexpr size_t kChunkOutcomes = 512;
-  BatchingFrameSender sender(outbox_);
-  size_t begin = 0;
-  do {
-    const size_t end = std::min(begin + kChunkOutcomes, completed.size());
-    std::vector<WireOutcome> chunk(
-        std::make_move_iterator(completed.begin() + begin),
-        std::make_move_iterator(completed.begin() + end));
-    const bool final_chunk = end == completed.size();
-    AOD_RETURN_NOT_OK(sender.Add(EncodeResultBatch(chunk, final_chunk)));
-    begin = end;
-  } while (begin < completed.size());
-  AOD_RETURN_NOT_OK(sender.Flush());
+  AOD_RETURN_NOT_OK(outbox_->Send(EncodeResultBatch(completed)));
 
   // The batch's ParallelFor has joined, so every cache future is
   // resolved — the precondition budget enforcement (and an exact
@@ -195,55 +171,18 @@ void ShardRunner::ValidateOne(const WireCandidate& candidate,
     partition_nanos_.fetch_add(derive_sw.ElapsedNanos(),
                                std::memory_order_relaxed);
   }
-  std::unique_ptr<ValidatorScratch> scratch = AcquireScratch();
-
-  ValidationRequest request;
-  request.table = table_;
-  request.context_partition = partition.get();
-  request.kind = candidate.kind;
-  request.target = candidate.target;
-  request.pair =
-      AttributePair{candidate.pair_a, candidate.pair_b, candidate.opposite};
-  request.algorithm = options_.validator;
-  request.epsilon = epsilon_;
-  request.afd_error = options_.afd_error;
-  request.table_rows = table_->num_rows();
-  request.options.collect_removal_set = options_.collect_removal_sets;
-  request.sampler = sampler_.get();
-  request.scratch = scratch.get();
-
-  Stopwatch sw;
-  DependencyVerdict verdict = ValidateDependency(request);
-  out->seconds = sw.ElapsedSeconds();
-  ReleaseScratch(std::move(scratch));
-
+  CandidateVerdict v = validator_.Validate(
+      context, *partition, candidate.kind, candidate.target,
+      AttributePair{candidate.pair_a, candidate.pair_b, candidate.opposite});
   out->slot = candidate.slot;
   out->kind = candidate.kind;
-  out->valid = verdict.valid;
-  out->early_exit = verdict.early_exit;
-  out->removal_size = verdict.removal_size;
-  out->approx_factor = verdict.error;
-  out->removal_rows = std::move(verdict.removal_rows);
-  out->interestingness =
-      InterestingnessScore(*partition, context.size(), table_->num_rows());
-}
-
-std::unique_ptr<ValidatorScratch> ShardRunner::AcquireScratch() {
-  {
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    if (!free_scratch_.empty()) {
-      std::unique_ptr<ValidatorScratch> scratch =
-          std::move(free_scratch_.back());
-      free_scratch_.pop_back();
-      return scratch;
-    }
-  }
-  return std::make_unique<ValidatorScratch>();
-}
-
-void ShardRunner::ReleaseScratch(std::unique_ptr<ValidatorScratch> scratch) {
-  std::lock_guard<std::mutex> lock(scratch_mutex_);
-  free_scratch_.push_back(std::move(scratch));
+  out->valid = v.verdict.valid;
+  out->early_exit = v.verdict.early_exit;
+  out->removal_size = v.verdict.removal_size;
+  out->approx_factor = v.verdict.error;
+  out->removal_rows = std::move(v.verdict.removal_rows);
+  out->interestingness = v.interestingness;
+  out->seconds = v.seconds;
 }
 
 }  // namespace shard

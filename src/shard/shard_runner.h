@@ -24,14 +24,13 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
 #include "data/encoder.h"
 #include "od/dependency_kind.h"
 #include "od/discovery.h"
-#include "od/validator_scratch.h"
+#include "od/validator_registry.h"
 #include "partition/partition_cache.h"
 #include "shard/channel.h"
 #include "shard/wire.h"
@@ -53,8 +52,8 @@ struct ShardRunnerOptions {
   /// the stats footer so the coordinator can reject a superseded
   /// attempt's footer. Validation outcomes never depend on it.
   uint32_t attempt_id = 0;
-  /// Raw threshold; the runner zeroes it for the exact validator, same
-  /// as the discovery driver.
+  /// Raw threshold; CandidateValidator zeroes it for the exact
+  /// validator, as it does for the discovery driver.
   double epsilon = 0.1;
   /// Dependency kinds this run may ship to the shard. The runner rejects
   /// whole batches carrying any candidate outside the set — a kind the
@@ -78,17 +77,14 @@ class ShardRunner {
               const ShardRunnerOptions& options, ShardChannel* inbox,
               ShardChannel* outbox, exec::ThreadPool* pool);
 
-  /// Receives one *logical* frame from the inbox (kBatch envelopes are
-  /// unwrapped transparently; each inner frame is one ServeOne) and
-  /// handles it:
+  /// Receives one frame from the inbox and handles it:
   ///   kPartitionBlock  — decode (canonical-validated) and install into
   ///                      the local cache;
   ///   kCandidateBatch  — validate every candidate (parallel over the
-  ///                      batch, `cancel` polled between candidates) and
-  ///                      stream back the completed outcomes as one or
-  ///                      more kResultBatch chunks — the last one
-  ///                      carrying the final-chunk flag — then enforce
-  ///                      the per-shard budget;
+  ///                      batch, `cancel` polled between candidates),
+  ///                      send the completed outcomes back as one
+  ///                      kResultBatch frame, then enforce the per-shard
+  ///                      budget;
   ///   kShutdown        — reply with the kStatsFooter terminal frame;
   ///                      the conversation is over.
   /// Any decode or channel failure surfaces as a non-OK Status. The
@@ -115,35 +111,25 @@ class ShardRunner {
                               const std::function<bool()>& cancel);
   Status HandleShutdown();
   void SampleResidency();
-  /// One validation through the shared kind-keyed registry — the same
-  /// dispatch the discovery driver uses, so sharded and unsharded
-  /// outcomes are bit-identical.
+  /// One validation through the same CandidateValidator unit the
+  /// discovery driver uses, so sharded and unsharded outcomes are
+  /// bit-identical.
   void ValidateOne(const WireCandidate& candidate, WireOutcome* out);
-
-  std::unique_ptr<ValidatorScratch> AcquireScratch();
-  void ReleaseScratch(std::unique_ptr<ValidatorScratch> scratch);
 
   const int shard_id_;
   const EncodedTable* table_;
   const ShardRunnerOptions options_;
-  const double epsilon_;
   ShardChannel* inbox_;
   ShardChannel* outbox_;
-  /// Unwraps kBatch envelopes from the inbox so frames_served_ counts
-  /// logical frames — the unit the coordinator's cross-check uses.
-  LogicalFrameReceiver receiver_;
   exec::ThreadPool* pool_;
   PartitionCache cache_;
-  std::unique_ptr<AocSampler> sampler_;
+  CandidateValidator validator_;
   int64_t bytes_evicted_ = 0;
   /// Residency high-water mark, sampled after every installed base and
   /// every served batch (quiescent points, so the sample is exact).
   int64_t bytes_peak_ = 0;
   int64_t frames_served_ = 0;
   std::atomic<int64_t> partition_nanos_{0};
-
-  std::mutex scratch_mutex_;
-  std::vector<std::unique_ptr<ValidatorScratch>> free_scratch_;
 };
 
 }  // namespace shard

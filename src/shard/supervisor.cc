@@ -134,20 +134,17 @@ Status ShardSupervisor::BuildAttempt(bool force_inproc,
       break;
     }
   }
-  a->receiver = std::make_unique<LogicalFrameReceiver>(a->from_shard);
   if (a->id > 1 && !a->fallback) ++respawns_;
   return Status::OK();
 }
 
 Status ShardSupervisor::SeedAttempt(Attempt* attempt,
                                     const std::function<bool()>& cancel) {
-  if (bootstrap_->base_frames == 0) return Status::OK();
-  AOD_RETURN_NOT_OK(attempt->to_shard->Send(bootstrap_->base_shipment));
-  // The envelope counts as its inner frames — the unit the footer
-  // cross-check compares against frames_served.
-  attempt->frames_sent += bootstrap_->base_frames;
-  AddFrameBytes(FrameType::kPartitionBlock, bootstrap_->base_frame_bytes);
-  for (int i = 0; i < bootstrap_->base_frames; ++i) {
+  for (const std::vector<uint8_t>& frame : bootstrap_->base_frames) {
+    AOD_RETURN_NOT_OK(attempt->to_shard->Send(frame));
+    ++attempt->frames_sent;
+    AddFrameBytes(FrameType::kPartitionBlock,
+                  static_cast<int64_t>(frame.size()));
     AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
   }
   return Status::OK();
@@ -177,25 +174,11 @@ Status ShardSupervisor::ExecuteLevelOnce(
   ++attempt->frames_sent;
   AddFrameBytes(FrameType::kCandidateBatch, candidate_bytes);
   AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
-  // Chunked reply: a well-formed reply is at most |batch|+1 chunks
-  // (every chunk but the final carries at least one outcome), so a
-  // babbling runner is a typed protocol error, not a loop.
-  const size_t max_chunks = batch.size() + 1;
-  size_t chunks = 0;
-  int64_t reply_bytes = 0;
-  for (;;) {
-    if (++chunks > max_chunks) {
-      return Status::ParseError("shard result stream never finalized");
-    }
-    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                         attempt->receiver->Receive());
-    AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
-    AOD_ASSIGN_OR_RETURN(WireResultChunk chunk, DecodeResultBatch(frame));
-    reply_bytes += static_cast<int64_t>(raw.size());
-    for (WireOutcome& o : chunk.outcomes) out->push_back(std::move(o));
-    if (chunk.final_chunk) break;
-  }
-  AddFrameBytes(FrameType::kResultBatch, reply_bytes);
+  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
+                       attempt->from_shard->Receive());
+  AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
+  AOD_ASSIGN_OR_RETURN(*out, DecodeResultBatch(frame));
+  AddFrameBytes(FrameType::kResultBatch, static_cast<int64_t>(raw.size()));
   return Status::OK();
 }
 
@@ -315,12 +298,8 @@ Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
       st = EstablishCurrent(fell_back_, cancel);
     }
     if (st.ok()) {
-      std::vector<WireOutcome> buffered;
-      st = ExecuteLevelOnce(current_.get(), batch, cancel, &buffered);
-      if (st.ok()) {
-        *out = std::move(buffered);
-        return st;
-      }
+      st = ExecuteLevelOnce(current_.get(), batch, cancel, out);
+      if (st.ok()) return st;
     }
     if (strict()) return st;  // PR 5 contract: first fault surfaces as-is
     Teardown(&current_);
@@ -335,12 +314,9 @@ Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
           !fell_back_) {
         Status fallback = EstablishCurrent(/*force_inproc=*/true, cancel);
         if (fallback.ok()) {
-          std::vector<WireOutcome> buffered;
-          fallback =
-              ExecuteLevelOnce(current_.get(), batch, cancel, &buffered);
+          fallback = ExecuteLevelOnce(current_.get(), batch, cancel, out);
           if (fallback.ok()) {
             fell_back_ = true;
-            *out = std::move(buffered);
             return fallback;
           }
         }
@@ -387,20 +363,13 @@ Status ShardSupervisor::CollectFooter() {
     footer_missing_ = true;
     return Status::OK();
   }
-  // A half-initialized attempt (failed bootstrap in strict mode) has
-  // its channels but never got a receiver; give it one so the drain
-  // below still unwraps envelopes.
-  if (a->receiver == nullptr) {
-    a->receiver = std::make_unique<LogicalFrameReceiver>(a->from_shard);
-  }
-  // A mid-level abort can leave result frames queued ahead of the
-  // footer — a whole level's worth of reply chunks; drain non-footer
-  // logical frames (bounded) instead of misdecoding the first frame
-  // seen as the footer.
+  // A mid-level abort can leave a result frame queued ahead of the
+  // footer; drain non-footer frames (bounded) instead of misdecoding the
+  // first frame seen as the footer.
   Result<ShardStatsFooter> footer =
       Status::Internal("stats footer never arrived");
   for (int drained = 0; drained < 4096; ++drained) {
-    Result<std::vector<uint8_t>> raw = a->receiver->Receive();
+    Result<std::vector<uint8_t>> raw = a->from_shard->Receive();
     if (!raw.ok()) {
       footer = raw.status();
       break;

@@ -87,13 +87,8 @@ struct ShardSupervisionOptions {
 /// encoded (and checksummed) once per run, not once per attempt.
 struct ShardBootstrap {
   const EncodedTable* table = nullptr;
-  /// The base (level-1) partitions: one kBatch envelope of
-  /// `base_frames` kPartitionBlock frames (or the single frame when
-  /// base_frames == 1). `base_frame_bytes` sums the inner frames, the
-  /// kPartitionBlock volume credited per shipment.
-  std::vector<uint8_t> base_shipment;
-  int64_t base_frame_bytes = 0;
-  int base_frames = 0;
+  /// The base (level-1) partitions, one kPartitionBlock frame each.
+  std::vector<std::vector<uint8_t>> base_frames;
   /// Per-runner options template; the supervisor stamps attempt_id.
   ShardRunnerOptions runner_options;
 };
@@ -114,7 +109,8 @@ class ShardSupervisor {
   /// still reaches its channels.
   Status Start();
 
-  /// Ships `batch`, pumps the attempt's runner through it, and receives the chunked reply into `out` (ascending slot order).
+  /// Ships `batch`, pumps the attempt's runner through it, and receives
+  /// the one-frame reply into `out` (ascending slot order).
   /// On failure: teardown, backoff, respawn, re-execute — up to
   /// max_retries re-attempts — then the in-process fallback; only when
   /// all of that is exhausted does the error surface. Empty batches
@@ -153,7 +149,7 @@ class ShardSupervisor {
   int64_t frame_bytes(FrameType type) const;
 
  private:
-  /// One (re)establishment: channels, receiver and runner. Channel
+  /// One (re)establishment: channels and runner. Channel
   /// storage precedes the runner so the runner (which borrows channel
   /// pointers) dies first.
   struct Attempt {
@@ -165,7 +161,6 @@ class ShardSupervisor {
     std::unique_ptr<ShardChannel> runner_side;
     ShardChannel* to_shard = nullptr;
     ShardChannel* from_shard = nullptr;
-    std::unique_ptr<LogicalFrameReceiver> receiver;
     std::unique_ptr<ShardRunner> runner;
     /// Frames this attempt was sent that its runner serves (bases +
     /// batches + shutdown) — the footer cross-check is per attempt.
@@ -189,7 +184,8 @@ class ShardSupervisor {
   /// BuildAttempt + install as current_ + SeedAttempt.
   Status EstablishCurrent(bool force_inproc,
                           const std::function<bool()>& cancel);
-  /// One send/pump/receive round for a level on one attempt.
+  /// One send/pump/receive round for a level on one attempt; `out` is
+  /// written only when the round succeeds.
   Status ExecuteLevelOnce(Attempt* attempt,
                           const std::vector<WireCandidate>& batch,
                           const std::function<bool()>& cancel,
@@ -219,7 +215,7 @@ class ShardSupervisor {
   /// cross-thread caller left: the level task encodes and decodes, the
   /// coordinator reads after the join.
   mutable std::mutex stats_mutex_;
-  int64_t frame_bytes_[static_cast<size_t>(FrameType::kBatch) + 1] = {};
+  int64_t frame_bytes_[static_cast<size_t>(FrameType::kStatsFooter) + 1] = {};
   int64_t retired_bytes_ = 0;
 
   /// Written by the driving thread, read by the coordinator after the

@@ -201,9 +201,10 @@ Result<DecodedFrame> DecodeFrame(const uint8_t* data, size_t size) {
                               std::to_string(version));
   }
   const uint16_t raw_type = LoadU16(data + 6);
-  if (raw_type < static_cast<uint16_t>(FrameType::kPartitionBlock) ||
-      raw_type > static_cast<uint16_t>(FrameType::kCancel) ||
-      raw_type == kRetiredFrameType) {
+  bool known = raw_type >= static_cast<uint16_t>(FrameType::kPartitionBlock) &&
+               raw_type <= static_cast<uint16_t>(FrameType::kCancel);
+  for (uint16_t retired : kRetiredFrameTypes) known &= raw_type != retired;
+  if (!known) {
     return Status::ParseError("unknown wire frame type " +
                               std::to_string(raw_type));
   }
@@ -324,10 +325,9 @@ Result<std::vector<WireCandidate>> DecodeCandidateBatch(
   return out;
 }
 
-std::vector<uint8_t> EncodeResultBatch(const std::vector<WireOutcome>& outcomes,
-                                       bool final_chunk) {
+std::vector<uint8_t> EncodeResultBatch(
+    const std::vector<WireOutcome>& outcomes) {
   WireWriter writer;
-  writer.PutU8(final_chunk ? kResultFlagFinalChunk : 0);
   writer.PutU64(outcomes.size());
   for (const WireOutcome& o : outcomes) {
     writer.PutU64(o.slot);
@@ -343,19 +343,12 @@ std::vector<uint8_t> EncodeResultBatch(const std::vector<WireOutcome>& outcomes,
   return writer.SealFrame(FrameType::kResultBatch);
 }
 
-Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame) {
+Result<std::vector<WireOutcome>> DecodeResultBatch(const DecodedFrame& frame) {
   if (frame.type != FrameType::kResultBatch) {
     return Status::ParseError("frame is not a result batch");
   }
   WireReader reader(frame.payload, frame.size);
-  uint8_t flags = 0;
-  AOD_RETURN_NOT_OK(reader.GetU8(&flags));
-  if ((flags & ~kResultFlagFinalChunk) != 0) {
-    return Status::ParseError("unknown result batch flags");
-  }
-  WireResultChunk chunk;
-  chunk.final_chunk = (flags & kResultFlagFinalChunk) != 0;
-  std::vector<WireOutcome>& out = chunk.outcomes;
+  std::vector<WireOutcome> out;
   uint64_t count = 0;
   AOD_RETURN_NOT_OK(reader.GetU64(&count));
   // 51 bytes per outcome before its (possibly empty) removal-row array.
@@ -383,7 +376,7 @@ Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame) {
     out.push_back(std::move(o));
   }
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
-  return chunk;
+  return out;
 }
 
 std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table) {
@@ -440,55 +433,6 @@ Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame) {
 std::vector<uint8_t> EncodeShutdown() {
   WireWriter writer;
   return writer.SealFrame(FrameType::kShutdown);
-}
-
-std::vector<uint8_t> EncodeBatchEnvelope(
-    const std::vector<std::vector<uint8_t>>& frames) {
-  WireWriter writer;
-  writer.PutU32(static_cast<uint32_t>(frames.size()));
-  for (const std::vector<uint8_t>& f : frames) {
-    writer.PutU64(f.size());
-    writer.PutBytes(f.data(), f.size());
-  }
-  return writer.SealFrame(FrameType::kBatch);
-}
-
-Result<std::vector<std::vector<uint8_t>>> UnpackBatchEnvelope(
-    const DecodedFrame& frame) {
-  if (frame.type != FrameType::kBatch) {
-    return Status::ParseError("frame is not a batch envelope");
-  }
-  WireReader reader(frame.payload, frame.size);
-  uint32_t count = 0;
-  AOD_RETURN_NOT_OK(reader.GetU32(&count));
-  if (count == 0) {
-    return Status::ParseError("empty batch envelope");
-  }
-  // Each inner frame costs at least a length prefix plus a header.
-  if (count > reader.remaining() / (8 + kFrameHeaderBytes)) {
-    return Status::ParseError("batch envelope longer than its payload");
-  }
-  std::vector<std::vector<uint8_t>> out;
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t len = 0;
-    AOD_RETURN_NOT_OK(reader.GetU64(&len));
-    if (len > reader.remaining()) {
-      return Status::ParseError("batch envelope segment truncated");
-    }
-    if (len < kFrameHeaderBytes) {
-      return Status::ParseError("batch envelope segment shorter than a "
-                                "frame header");
-    }
-    const uint8_t* p = reader.cursor();
-    if (LoadU16(p + 6) == static_cast<uint16_t>(FrameType::kBatch)) {
-      return Status::ParseError("nested batch envelope");
-    }
-    out.emplace_back(p, p + len);
-    reader.Skip(static_cast<size_t>(len));
-  }
-  AOD_RETURN_NOT_OK(reader.ExpectEnd());
-  return out;
 }
 
 std::vector<uint8_t> EncodeStatsFooter(const ShardStatsFooter& footer) {

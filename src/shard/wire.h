@@ -22,9 +22,8 @@
 // Every payload has exactly one fixed-width layout. Nothing is
 // compressed: every supported transport is in-process or loopback, where
 // encoding a compressed body costs more time than its smaller size
-// saves. kBatch is an envelope frame whose payload is a sequence of
-// complete inner frames, so many small frames cross a socket as one
-// write (see channel.h's BatchingFrameSender).
+// saves. Every message is exactly one frame: nothing is enveloped,
+// split or coalesced in transit.
 //
 // The frame layer is transport-agnostic: ShardChannel moves opaque
 // frames, and the socket transport replaces the in-process queue
@@ -47,8 +46,8 @@ namespace aod {
 namespace shard {
 
 inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
-/// Version 2: compressed payload codecs (flags byte) + kBatch envelopes
-/// + split raw/wire byte accounting in the stats footer.
+/// Version 2: compressed payload codecs (flags byte) + batch envelopes
+/// (frame type 8) + split raw/wire byte accounting in the stats footer.
 /// Version 3: an attempt id in the config block and the stats footer, so
 /// a supervising coordinator that respawned a shard can tell a stale
 /// attempt's footer from the live one (src/shard/supervisor.h).
@@ -68,15 +67,21 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// shard cache's three planner counters after products_computed.
 /// Version 8: every frame ships raw. kPartitionBlock loses its codec
 /// byte, kCandidateBatch its flags byte and each kTableBlock column its
-/// rank-codec byte; kResultBatch keeps its flags byte for
-/// kResultFlagFinalChunk only. The config block drops its compression
+/// rank-codec byte; kResultBatch keeps its flags byte for its
+/// final-chunk bit only. The config block drops its compression
 /// byte and kStatsFooter the two decoded raw/wire byte counters.
 /// Still version 8: frame type 5 (kConfigBlock, the spawned runner
 /// process's validation config) is retired. No encoder emits it,
 /// DecodeFrame rejects it as an unknown type, and the number is never
 /// reused. Every other layout is unchanged.
-inline constexpr uint16_t kWireVersion = 8;
-inline constexpr uint16_t kRetiredFrameType = 5;
+/// Version 9: one frame per message. kResultBatch drops its flags byte
+/// (a level's reply is always one frame), and frame type 8 (the batch
+/// envelope of inner frames) is retired like type 5. The serve frames
+/// are byte-identical to version 8.
+inline constexpr uint16_t kWireVersion = 9;
+/// Frame type numbers that are retired: no encoder emits them,
+/// DecodeFrame rejects them as unknown types, and they are never reused.
+inline constexpr uint16_t kRetiredFrameTypes[] = {5, 8};
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -85,16 +90,14 @@ enum class FrameType : uint16_t {
   kPartitionBlock = 1,
   /// The candidates assigned to one shard for one lattice level.
   kCandidateBatch = 2,
-  /// One chunk of the outcomes a shard completed for one candidate
-  /// batch. A level's reply is a sequence of chunks; the flags byte of
-  /// the last one carries kResultFlagFinalChunk, so the coordinator can
-  /// fold chunks as they arrive instead of barriering on the level.
+  /// The outcomes a shard completed for one candidate batch: a level's
+  /// whole reply.
   kResultBatch = 3,
   /// The rank-encoded table columns, nested inline in a serve
   /// kJobSubmit (shard runners share the table by pointer and never see
   /// this frame).
   kTableBlock = 4,
-  // 5 is retired (kRetiredFrameType) and never reused.
+  // 5 is retired (kRetiredFrameTypes) and never reused.
   /// Coordinator -> runner: the run is over; reply with a stats footer
   /// and exit the serve loop. Empty payload.
   kShutdown = 6,
@@ -102,12 +105,7 @@ enum class FrameType : uint16_t {
   /// carrying the shard's DiscoveryStats counters, so every transport
   /// reports them through the same frame.
   kStatsFooter = 7,
-  /// An envelope holding a sequence of complete inner frames (payload:
-  /// u32 count, then per inner frame u64 length + the frame bytes,
-  /// header included). Inner frames are ordinary checksummed frames and
-  /// must not themselves be kBatch. One envelope counts as its inner
-  /// frames for the frames_served conversation cross-check.
-  kBatch = 8,
+  // 8 is retired (kRetiredFrameTypes) and never reused.
 
   // --- The serving vocabulary (src/serve/) ---------------------------
   // The discovery-as-a-service job protocol between a DiscoveryClient
@@ -123,10 +121,10 @@ enum class FrameType : uint16_t {
   /// job (queued/running/done, queue position, level progress). Also
   /// client -> server as a bare job-id query.
   kJobStatus = 10,
-  /// Server -> client: one chunk of a finished job's result, chunked
-  /// like kResultBatch (final-chunk flag; the final chunk carries the
-  /// stats and the terminal status), so large result sets stream
-  /// instead of materializing one giant frame.
+  /// Server -> client: one chunk of a finished job's result (a
+  /// final-chunk flag; the final chunk carries the stats and the
+  /// terminal status), so large result sets stream instead of
+  /// materializing one giant frame.
   kJobResultBatch = 11,
   /// Server -> client: a typed job rejection or failure —
   /// StatusCode::kOverloaded (admission control), kShuttingDown
@@ -137,9 +135,6 @@ enum class FrameType : uint16_t {
   /// cooperatively and reclaims its resources.
   kCancel = 13,
 };
-
-/// kResultBatch flag bits.
-inline constexpr uint8_t kResultFlagFinalChunk = 0x01;
 
 /// FNV-1a 64 over `size` bytes — the frame checksum.
 uint64_t WireChecksum(const uint8_t* data, size_t size);
@@ -269,13 +264,6 @@ struct WireOutcome {
   std::vector<int32_t> removal_rows;
 };
 
-/// One decoded kResultBatch frame: a chunk of a level's outcomes plus
-/// whether it terminates the shard's reply for the level.
-struct WireResultChunk {
-  std::vector<WireOutcome> outcomes;
-  bool final_chunk = true;
-};
-
 /// Payload: u64 attribute-set bits, then the partition's CSR bytes
 /// exactly as StrippedPartition::SerializeTo writes them.
 std::vector<uint8_t> EncodePartitionBlock(AttributeSet set,
@@ -297,11 +285,10 @@ std::vector<uint8_t> EncodeCandidateBatch(
 Result<std::vector<WireCandidate>> DecodeCandidateBatch(
     const DecodedFrame& frame);
 
-/// Payload: u8 flags (kResultFlagFinalChunk), u64 count, then 51 bytes
-/// per outcome followed by its removal-row array.
-std::vector<uint8_t> EncodeResultBatch(const std::vector<WireOutcome>& outcomes,
-                                       bool final_chunk = true);
-Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame);
+/// Payload: u64 count, then 51 bytes per outcome followed by its
+/// removal-row array.
+std::vector<uint8_t> EncodeResultBatch(const std::vector<WireOutcome>& outcomes);
+Result<std::vector<WireOutcome>> DecodeResultBatch(const DecodedFrame& frame);
 
 /// Rank-encoded columns only — names, cardinalities and the int32 rank
 /// arrays. Dictionaries (raw values) never cross the shard seam:
@@ -316,18 +303,6 @@ Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame);
 /// An empty-payload kShutdown frame.
 std::vector<uint8_t> EncodeShutdown();
 
-/// Seals `frames` (complete sealed frames, none of them kBatch) into one
-/// kBatch envelope.
-std::vector<uint8_t> EncodeBatchEnvelope(
-    const std::vector<std::vector<uint8_t>>& frames);
-/// Splits a validated kBatch frame back into its inner frames (copies,
-/// so the envelope buffer can die). Rejects empty envelopes, truncated
-/// segments and nested kBatch; each inner frame still carries its own
-/// header + checksum and is fully validated by the consumer's
-/// DecodeFrame.
-Result<std::vector<std::vector<uint8_t>>> UnpackBatchEnvelope(
-    const DecodedFrame& frame);
-
 /// The per-shard DiscoveryStats counters a runner reports in its
 /// terminal frame. Doubles are timing (exempt from the determinism
 /// contract); the integer counters are pure functions of the batches
@@ -339,9 +314,8 @@ struct ShardStatsFooter {
   /// attempt it is finishing so duplicate footers (a superseded attempt
   /// that still managed to answer its shutdown) are distinguishable.
   uint32_t attempt_id = 0;
-  /// Logical frames the runner served (bases + batches + shutdown; an
-  /// envelope counts as its inner frames) — a cheap conversation-length
-  /// cross-check for the coordinator.
+  /// Frames the runner served (bases + batches + shutdown) — a cheap
+  /// conversation-length cross-check for the coordinator.
   int64_t frames_served = 0;
   int64_t products_computed = 0;
   /// The runner cache's planner counters (PartitionCache::

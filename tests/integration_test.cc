@@ -2,9 +2,17 @@
 // the dataset simulators under full discovery, validator head-to-heads at
 // realistic scale, and the error-repair loop from the paper's Fig. 1.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/csv_parser.h"
 #include "data/encoder.h"
@@ -220,6 +228,81 @@ TEST(IntegrationTest, SummaryMentionsNamedColumns) {
   std::string summary = result.Summary(enc);
   EXPECT_NE(summary.find("OCs ("), std::string::npos);
   EXPECT_NE(summary.find("OFDs ("), std::string::npos);
+}
+
+// ------------------------------------------------- csv_discovery CLI --
+
+/// The csv_discovery binary next to this test binary ($AOD_CSV_DISCOVERY
+/// overrides), or "" when it was not built.
+std::string CsvDiscoveryBinaryPath() {
+  if (const char* env = std::getenv("AOD_CSV_DISCOVERY")) return env;
+  char buf[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n <= 0) return "";
+  buf[n] = '\0';
+  const std::string sibling =
+      (std::filesystem::path(buf).parent_path() / "csv_discovery").string();
+  return std::filesystem::exists(sibling) ? sibling : "";
+}
+
+/// Runs `binary` with `args` (output discarded) and returns its wait
+/// status.
+int RunQuietly(const std::string& binary,
+               const std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>(binary.c_str()));
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(null_fd, STDERR_FILENO);
+    ::execv(binary.c_str(), argv.data());
+    ::_exit(127);
+  }
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid) return -1;
+  return status;
+}
+
+TEST(CsvDiscoveryCliTest, OutsideInputExitsTwoInsteadOfAborting) {
+  const std::string binary = CsvDiscoveryBinaryPath();
+  if (binary.empty()) {
+    GTEST_SKIP() << "csv_discovery not found next to the test binary";
+  }
+  // One column past the attribute limit, two rows.
+  const std::filesystem::path wide_csv =
+      std::filesystem::temp_directory_path() /
+      ("aod_wide_" + std::to_string(::getpid()) + ".csv");
+  {
+    std::ofstream out(wide_csv);
+    for (int row = 0; row < 3; ++row) {
+      for (int c = 0; c <= AttributeSet::kMaxAttributes; ++c) {
+        if (c > 0) out << ',';
+        if (row == 0) {
+          out << 'c' << c;
+        } else {
+          out << row * c;
+        }
+      }
+      out << '\n';
+    }
+  }
+  const std::vector<std::vector<std::string>> cases = {
+      {"--epsilon=2"},
+      {"--epsilon=-0.5"},
+      {"--shards=-3"},
+      {"--shards=2000"},
+      {wide_csv.string()},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    SCOPED_TRACE(args.front());
+    const int status = RunQuietly(binary, args);
+    ASSERT_TRUE(WIFEXITED(status)) << "wait status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
+  std::filesystem::remove(wide_csv);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "gen/flight_generator.h"
 #include "gen/ncvoter_generator.h"
 #include "od/discovery.h"
+#include "shard/wire.h"
 #include "test_util.h"
 
 namespace aod {
@@ -472,6 +473,37 @@ TEST(ParallelDeterminismTest, SocketTransportMatchesInProcessBitExactly) {
     const DiscoveryResult& socket = runs.at(ShardTransport::kSocket);
     EXPECT_EQ(Fingerprint(socket), Fingerprint(inproc));
     EXPECT_EQ(socket.stats.shard_bytes_wire, inproc.stats.shard_bytes_wire);
+  }
+}
+
+TEST(ParallelDeterminismTest, ShardWireBytesAreAllAttributedToFrameTypes) {
+  // Every message is one frame, so the link volume is exactly the
+  // per-type frame volume plus each shard's shutdown handshake (the
+  // kShutdown frame and the kStatsFooter reply): no untyped framing.
+  Table t = GenerateNcVoterTable(300, 10, 29);
+  EncodedTable enc = EncodeTable(t);
+  const int64_t handshake_bytes = static_cast<int64_t>(
+      shard::EncodeShutdown().size() +
+      shard::EncodeStatsFooter(shard::ShardStatsFooter{}).size());
+  DiscoveryOptions options;
+  options.epsilon = 0.1;
+  options.num_threads = 2;
+  for (int shards : {1, 2}) {
+    options.num_shards = shards;
+    for (ShardTransport transport :
+         {ShardTransport::kInProcess, ShardTransport::kSocket}) {
+      SCOPED_TRACE(std::string(ShardTransportToString(transport)) +
+                   " x num_shards=" + std::to_string(shards));
+      options.shard_transport = transport;
+      DiscoveryResult run = DiscoverOds(enc, options);
+      ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+      ASSERT_EQ(run.stats.shard_retries, 0);
+      int64_t typed = 0;
+      for (const auto& entry : run.stats.shard_frame_bytes) {
+        typed += entry.bytes;
+      }
+      EXPECT_EQ(run.stats.shard_bytes_wire, typed + shards * handshake_bytes);
+    }
   }
 }
 

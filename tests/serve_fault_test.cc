@@ -355,8 +355,9 @@ TEST(ServeWireTest, DecodersRejectStructuralViolations) {
     EXPECT_FALSE(serve::DecodeJobSubmit(*f).ok());
   }
   // The wire-v4 job fields are range-checked at decode: an empty or
-  // unknown kind set, an out-of-range AFD threshold and a negative
-  // top_k are each typed submit rejections.
+  // unknown kind set, an out-of-range AFD threshold, a negative top_k
+  // and a negative LHS arity bound are each typed submit rejections
+  // (DiscoverOds would abort the whole daemon on the last one).
   auto expect_submit_rejected = [](serve::WireJobOptions options,
                                    const std::string& want) {
     serve::WireJobSubmit submit;
@@ -391,6 +392,11 @@ TEST(ServeWireTest, DecodersRejectStructuralViolations) {
     serve::WireJobOptions bad;
     bad.top_k = -3;
     expect_submit_rejected(bad, "negative top_k");
+  }
+  {
+    serve::WireJobOptions bad;
+    bad.max_lhs_arity = -1;
+    expect_submit_rejected(bad, "negative max_lhs_arity");
   }
 }
 

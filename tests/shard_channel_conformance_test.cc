@@ -31,6 +31,7 @@
 #include "gen/ncvoter_generator.h"
 #include "od/discovery.h"
 #include "shard/channel.h"
+#include "shard/coordinator.h"
 #include "shard/wire.h"
 #include "test_util.h"
 
@@ -410,26 +411,26 @@ TEST_P(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
   ASSERT_TRUE(clean.shard_status.ok());
 
   // Triggers place each fault mid-run, after at least one level merged
-  // cleanly. Send-side faults count the coordinator's physical sends —
-  // the 5 base partitions ship as ONE kBatch envelope, then the level-1
-  // candidate batch — so with trigger 2 the fault lands on the level-2
-  // batch under either transport. Receive-side faults depend on the
-  // decoration topology: with inproc channels the *runner's* inbox is a
-  // decorated endpoint too (the base envelope + 2 batches pass as 3
-  // physical receives, the level-3 batch is mangled), while the socket
-  // decorates only the coordinator endpoint (2 reply chunks pass, the
-  // level-3 reply is mangled).
+  // cleanly. Send-side faults count the coordinator's sends — the 5 base
+  // partitions (one frame each), then the level-1 candidate batch — so
+  // with trigger 6 the fault lands on the level-2 batch under either
+  // transport. Receive-side faults depend on the decoration topology:
+  // with inproc channels the *runner's* inbox is a decorated endpoint
+  // too (5 bases + 2 batches pass as 7 receives, the level-3 batch is
+  // mangled), while the socket decorates only the coordinator endpoint
+  // (2 replies pass, the level-3 reply is mangled).
+  const int bases = enc.num_columns();
   const int receive_trigger =
-      GetParam() == ShardTransport::kInProcess ? 3 : 2;
+      GetParam() == ShardTransport::kInProcess ? bases + 2 : 2;
   struct FaultCase {
     FlakyChannel::Fault fault;
     int trigger_after;
   };
   const FaultCase faults[] = {
-      {FlakyChannel::Fault::kTornWrite, 2},
+      {FlakyChannel::Fault::kTornWrite, bases + 1},
       {FlakyChannel::Fault::kShortRead, receive_trigger},
       {FlakyChannel::Fault::kCorruptByte, receive_trigger},
-      {FlakyChannel::Fault::kDropFrame, 2}};
+      {FlakyChannel::Fault::kDropFrame, bases + 1}};
   for (const FaultCase& c : faults) {
     SCOPED_TRACE(static_cast<int>(c.fault));
     FlakyChannel::Plan plan;
@@ -464,10 +465,49 @@ TEST_P(CoordinatorFaultInjectionTest, FaultDuringBaseShippingIsTyped) {
   EncodedTable enc = EncodeTable(t);
   FlakyChannel::Plan plan;
   plan.fault = FlakyChannel::Fault::kTornWrite;
-  plan.trigger_after = 0;  // the base-partition envelope itself is torn
+  plan.trigger_after = 0;  // the first base-partition frame is torn
   DiscoveryResult faulted = RunWithFault(enc, GetParam(), plan);
   ASSERT_FALSE(faulted.shard_status.ok());
   EXPECT_TRUE(faulted.dependencies.empty());
+}
+
+TEST_P(CoordinatorFaultInjectionTest, OversizedReplyIsTyped) {
+  // A level's reply is one frame, so a reply over max_frame_bytes must
+  // fail with the channel's typed oversize error — never be split, never
+  // hang. The cap admits every base partition and the candidate batch
+  // (30 bytes per candidate) but not the reply (51 bytes per outcome).
+  Table t = GenerateNcVoterTable(200, 3, 5);
+  EncodedTable enc = EncodeTable(t);
+  constexpr int kCandidates = 100;
+  shard::ShardTransportOptions transport;
+  transport.transport = GetParam();
+  transport.io_timeout_seconds = 2.0;
+  transport.max_frame_bytes = 40 * kCandidates + 32;
+  transport.supervision.max_retries = 0;
+  Result<std::unique_ptr<shard::ShardCoordinator>> coordinator =
+      shard::ShardCoordinator::Create(&enc, 1, shard::ShardRunnerOptions{},
+                                      transport, nullptr);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+
+  std::vector<shard::WireCandidate> batch(kCandidates);
+  for (int i = 0; i < kCandidates; ++i) {
+    batch[static_cast<size_t>(i)].slot = static_cast<uint64_t>(i);
+    batch[static_cast<size_t>(i)].kind = DependencyKind::kOfd;
+    batch[static_cast<size_t>(i)].target = i % 3;
+  }
+  int64_t folded = 0;
+  Status st = (*coordinator)
+                  ->ValidateBatch(batch, {},
+                                  [&folded](shard::WireOutcome) { ++folded; });
+  ASSERT_FALSE(st.ok());
+  // The in-process queue refuses the send; the socket refuses the
+  // received length header.
+  EXPECT_TRUE(st.code() == StatusCode::kInvalidArgument ||
+              st.code() == StatusCode::kParseError)
+      << st.ToString();
+  EXPECT_NE(st.message().find("max_frame_bytes"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(folded, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, CoordinatorFaultInjectionTest,

@@ -1,5 +1,5 @@
 // The payload decoders of the shard wire (one fixed-width layout per
-// frame type), kBatch envelopes and the batching sender/receiver pair.
+// frame type).
 //
 // The contract under test has two legs. (1) Losslessness: every message
 // decodes to an object identical to the one encoded, in a frame of
@@ -14,26 +14,19 @@
 #include <vector>
 
 #include "data/encoder.h"
-#include "flaky_channel.h"
 #include "gen/random.h"
 #include "od/dependency_kind.h"
 #include "partition/stripped_partition.h"
-#include "shard/channel.h"
 #include "shard/wire.h"
 #include "test_util.h"
 
 namespace aod {
 namespace {
 
-using shard::BatchingFrameSender;
 using shard::DecodedFrame;
 using shard::DecodeFrame;
-using shard::FrameType;
-using shard::InProcessChannel;
-using shard::LogicalFrameReceiver;
 using shard::WireCandidate;
 using shard::WireOutcome;
-using testing_util::FlakyChannel;
 
 /// Bytes must outlive the DecodedFrame view (see shard_wire_test.cc).
 struct HeldFrame {
@@ -252,31 +245,28 @@ TEST(ShardCodecTest, ResultBatchRoundTripsBitExactly) {
   for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{200}}) {
     for (bool rows : {false, true}) {
       const std::vector<WireOutcome> outcomes = RandomOutcomes(&rng, n, rows);
-      for (bool final_chunk : {false, true}) {
-        HeldFrame frame(shard::EncodeResultBatch(outcomes, final_chunk));
-        ASSERT_TRUE(frame.ok());
-        size_t expected_bytes = shard::kFrameHeaderBytes + 1 + 8;
-        for (const WireOutcome& o : outcomes) {
-          expected_bytes += 51 + 4 * o.removal_rows.size();
-        }
-        EXPECT_EQ(frame.bytes.size(), expected_bytes);
-        auto back = shard::DecodeResultBatch(*frame);
-        ASSERT_TRUE(back.ok()) << back.status().ToString();
-        EXPECT_EQ(back->final_chunk, final_chunk);
-        ASSERT_EQ(back->outcomes.size(), n);
-        for (size_t i = 0; i < n; ++i) {
-          const WireOutcome& got = back->outcomes[i];
-          EXPECT_EQ(got.slot, outcomes[i].slot);
-          EXPECT_EQ(got.kind, outcomes[i].kind);
-          EXPECT_EQ(got.valid, outcomes[i].valid);
-          EXPECT_EQ(got.early_exit, outcomes[i].early_exit);
-          EXPECT_EQ(got.removal_size, outcomes[i].removal_size);
-          // Doubles must survive bit-exactly.
-          EXPECT_EQ(got.approx_factor, outcomes[i].approx_factor);
-          EXPECT_EQ(got.interestingness, outcomes[i].interestingness);
-          EXPECT_EQ(got.seconds, outcomes[i].seconds);
-          EXPECT_EQ(got.removal_rows, outcomes[i].removal_rows);
-        }
+      HeldFrame frame(shard::EncodeResultBatch(outcomes));
+      ASSERT_TRUE(frame.ok());
+      size_t expected_bytes = shard::kFrameHeaderBytes + 8;
+      for (const WireOutcome& o : outcomes) {
+        expected_bytes += 51 + 4 * o.removal_rows.size();
+      }
+      EXPECT_EQ(frame.bytes.size(), expected_bytes);
+      auto back = shard::DecodeResultBatch(*frame);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      ASSERT_EQ(back->size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        const WireOutcome& got = (*back)[i];
+        EXPECT_EQ(got.slot, outcomes[i].slot);
+        EXPECT_EQ(got.kind, outcomes[i].kind);
+        EXPECT_EQ(got.valid, outcomes[i].valid);
+        EXPECT_EQ(got.early_exit, outcomes[i].early_exit);
+        EXPECT_EQ(got.removal_size, outcomes[i].removal_size);
+        // Doubles must survive bit-exactly.
+        EXPECT_EQ(got.approx_factor, outcomes[i].approx_factor);
+        EXPECT_EQ(got.interestingness, outcomes[i].interestingness);
+        EXPECT_EQ(got.seconds, outcomes[i].seconds);
+        EXPECT_EQ(got.removal_rows, outcomes[i].removal_rows);
       }
     }
   }
@@ -295,12 +285,12 @@ TEST(ShardCodecTest, CorruptedBatchesAreTypedAtEveryByte) {
   ExpectEveryByteTyped(
       shard::EncodeResultBatch(RandomOutcomes(&rng, 30, true)),
       [](const DecodedFrame& f) { return shard::DecodeResultBatch(f); },
-      [](const shard::WireResultChunk& chunk) {
-        return chunk.outcomes.size() == 30;
+      [](const std::vector<WireOutcome>& outcomes) {
+        return outcomes.size() == 30;
       });
 }
 
-TEST(ShardCodecTest, UnknownKindIdsAndFlagsAreTyped) {
+TEST(ShardCodecTest, UnknownKindIdsAreTyped) {
   // Candidate body: u64 count, then 30-byte records with the kind byte
   // 16 bytes in (after slot + context). Every id outside the four known
   // kinds must be a typed rejection naming the id.
@@ -319,28 +309,16 @@ TEST(ShardCodecTest, UnknownKindIdsAndFlagsAreTyped) {
         << r.status().ToString();
   }
 
-  // Outcome body: u8 flags, u64 count, then slot + the kind byte.
-  const std::vector<uint8_t> outcomes = shard::EncodeResultBatch(
-      RandomOutcomes(&rng, 2, false), /*final_chunk=*/true);
-  const size_t outcome_kind_at = 1 + 8 + 8;
+  // Outcome body: u64 count, then slot + the kind byte.
+  const std::vector<uint8_t> outcomes =
+      shard::EncodeResultBatch(RandomOutcomes(&rng, 2, false));
+  const size_t outcome_kind_at = 8 + 8;
   for (uint8_t id : {uint8_t{4}, uint8_t{9}}) {
     HeldFrame bad(SetPayloadByteResealed(outcomes, outcome_kind_at, id));
     ASSERT_TRUE(bad.ok());
     auto r = shard::DecodeResultBatch(*bad);
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.status().message().find("unknown dependency kind id"),
-              std::string::npos)
-        << r.status().ToString();
-  }
-
-  // Only the final-chunk bit is defined in the result flags byte; any
-  // other bit (0x02 was the version-7 compressed-body flag) is typed.
-  for (uint8_t flags : {uint8_t{0x02}, uint8_t{0x03}, uint8_t{0x80}}) {
-    HeldFrame bad(SetPayloadByteResealed(outcomes, 0, flags));
-    ASSERT_TRUE(bad.ok());
-    auto r = shard::DecodeResultBatch(*bad);
-    ASSERT_FALSE(r.ok()) << "flags " << static_cast<int>(flags);
-    EXPECT_NE(r.status().message().find("unknown result batch flags"),
               std::string::npos)
         << r.status().ToString();
   }
@@ -385,174 +363,6 @@ TEST(ShardCodecTest, CorruptedTableBlockIsTypedAtEveryByte) {
         return back.num_rows() == t.num_rows() &&
                back.num_columns() == t.num_columns();
       });
-}
-
-// -------------------------------------------------- batch envelopes --
-
-TEST(ShardCodecTest, BatchEnvelopeRoundTripsInnerFramesByteExactly) {
-  Rng rng(31);
-  std::vector<std::vector<uint8_t>> inner;
-  inner.push_back(shard::EncodeCandidateBatch(RandomCandidates(&rng, 5)));
-  inner.push_back(shard::EncodeShutdown());
-  inner.push_back(shard::EncodeResultBatch(RandomOutcomes(&rng, 3, false)));
-  HeldFrame envelope(shard::EncodeBatchEnvelope(inner));
-  ASSERT_TRUE(envelope.ok());
-  EXPECT_EQ((*envelope).type, FrameType::kBatch);
-  auto unpacked = shard::UnpackBatchEnvelope(*envelope);
-  ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
-  ASSERT_EQ(unpacked->size(), inner.size());
-  for (size_t i = 0; i < inner.size(); ++i) {
-    EXPECT_EQ((*unpacked)[i], inner[i]) << "inner frame " << i;
-    EXPECT_TRUE(DecodeFrame((*unpacked)[i]).ok());
-  }
-}
-
-TEST(ShardCodecTest, MalformedEnvelopesAreTypedErrors) {
-  Rng rng(32);
-  const std::vector<uint8_t> ok_inner =
-      shard::EncodeCandidateBatch(RandomCandidates(&rng, 2));
-
-  // An empty envelope is unrepresentable through BatchingFrameSender
-  // (zero frames -> no send) and rejected on decode.
-  shard::WireWriter empty;
-  empty.PutU32(0);
-  HeldFrame zero(empty.SealFrame(FrameType::kBatch));
-  ASSERT_TRUE(zero.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*zero).ok());
-
-  // Nested envelopes are rejected (one level of wrapping only).
-  HeldFrame nested(shard::EncodeBatchEnvelope(
-      {shard::EncodeBatchEnvelope({ok_inner})}));
-  ASSERT_TRUE(nested.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*nested).ok());
-
-  // A hostile count with no bytes behind it must be rejected from the
-  // declared sizes, not by attempting the allocation.
-  shard::WireWriter hostile;
-  hostile.PutU32(0xffffffff);
-  HeldFrame bomb(hostile.SealFrame(FrameType::kBatch));
-  ASSERT_TRUE(bomb.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*bomb).ok());
-
-  // Truncated segment: a declared inner length running past the end.
-  shard::WireWriter torn;
-  torn.PutU32(1);
-  torn.PutU64(ok_inner.size() + 50);
-  torn.PutBytes(ok_inner.data(), ok_inner.size());
-  HeldFrame truncated(torn.SealFrame(FrameType::kBatch));
-  ASSERT_TRUE(truncated.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*truncated).ok());
-
-  // An inner segment shorter than a frame header.
-  shard::WireWriter runt;
-  runt.PutU32(1);
-  runt.PutU64(4);
-  runt.PutU32(0xdeadbeef);
-  HeldFrame tiny(runt.SealFrame(FrameType::kBatch));
-  ASSERT_TRUE(tiny.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*tiny).ok());
-
-  // Per-byte payload corruption: typed, never OOB.
-  const std::vector<uint8_t> envelope =
-      shard::EncodeBatchEnvelope({ok_inner, ok_inner});
-  for (size_t i = 0; i < envelope.size() - shard::kFrameHeaderBytes; ++i) {
-    HeldFrame bad(CorruptPayloadResealed(envelope, i));
-    ASSERT_TRUE(bad.ok());
-    auto unpacked = shard::UnpackBatchEnvelope(*bad);
-    if (!unpacked.ok()) continue;
-    // Structure survived; the inner checksums then catch value damage.
-    for (const std::vector<uint8_t>& f : *unpacked) {
-      shard::DecodeFrame(f).status();
-    }
-  }
-}
-
-// ------------------------------------- batching sender + receiver --
-
-TEST(ShardCodecTest, BatchingSenderCoalescesAndReceiverUnwraps) {
-  Rng rng(71);
-  InProcessChannel channel;
-  BatchingFrameSender sender(&channel);
-  std::vector<std::vector<uint8_t>> sent;
-  for (int i = 0; i < 5; ++i) {
-    sent.push_back(shard::EncodeCandidateBatch(
-        RandomCandidates(&rng, 1 + static_cast<size_t>(i))));
-    ASSERT_TRUE(sender.Add(sent.back()).ok());
-  }
-  EXPECT_EQ(sender.pending_frames(), 5u);  // small frames: no auto-flush
-  ASSERT_TRUE(sender.Flush().ok());
-  EXPECT_EQ(sender.pending_frames(), 0u);
-
-  // Exactly ONE physical frame crossed the channel...
-  Result<std::vector<uint8_t>> physical = channel.Receive();
-  ASSERT_TRUE(physical.ok());
-  HeldFrame envelope(*physical);
-  ASSERT_TRUE(envelope.ok());
-  EXPECT_EQ((*envelope).type, FrameType::kBatch);
-
-  // ...which the logical receiver yields as the original sequence.
-  ASSERT_TRUE(channel.Send(std::move(*physical)).ok());
-  LogicalFrameReceiver receiver(&channel);
-  for (size_t i = 0; i < sent.size(); ++i) {
-    Result<std::vector<uint8_t>> logical = receiver.Receive();
-    ASSERT_TRUE(logical.ok()) << i;
-    EXPECT_EQ(*logical, sent[i]) << "logical frame " << i;
-  }
-}
-
-TEST(ShardCodecTest, BatchingSenderSingleFrameGoesUnwrapped) {
-  InProcessChannel channel;
-  BatchingFrameSender sender(&channel);
-  const std::vector<uint8_t> frame = shard::EncodeShutdown();
-  ASSERT_TRUE(sender.Add(frame).ok());
-  ASSERT_TRUE(sender.Flush().ok());
-  ASSERT_TRUE(sender.Flush().ok());  // empty flush is a no-op
-  Result<std::vector<uint8_t>> got = channel.Receive();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, frame);  // no envelope around a lone frame
-}
-
-TEST(ShardCodecTest, BatchingSenderAutoFlushesAtThreshold) {
-  InProcessChannel channel;
-  BatchingFrameSender sender(&channel, /*flush_threshold_bytes=*/256);
-  std::vector<uint8_t> big(300, 0x7f);
-  shard::WireWriter writer;
-  writer.PutBytes(big.data(), big.size());
-  ASSERT_TRUE(sender.Add(writer.SealFrame(FrameType::kCandidateBatch)).ok());
-  // Crossing the threshold flushed eagerly — nothing left pending.
-  EXPECT_EQ(sender.pending_frames(), 0u);
-  EXPECT_TRUE(channel.Receive().ok());
-}
-
-TEST(ShardCodecTest, FlakyChannelFaultsOverBatchedFramesAreTyped) {
-  Rng rng(88);
-  std::vector<std::vector<uint8_t>> inner;
-  for (int i = 0; i < 4; ++i) {
-    inner.push_back(shard::EncodeResultBatch(RandomOutcomes(&rng, 10, true)));
-  }
-
-  for (FlakyChannel::Fault fault :
-       {FlakyChannel::Fault::kCorruptByte, FlakyChannel::Fault::kShortRead}) {
-    shard::ChannelOptions copts;
-    copts.receive_timeout_seconds = 1.0;
-    FlakyChannel::Plan plan;
-    plan.fault = fault;
-    plan.trigger_after = 0;
-    FlakyChannel channel(std::make_unique<InProcessChannel>(copts), plan);
-    BatchingFrameSender sender(&channel);
-    for (const std::vector<uint8_t>& f : inner) {
-      ASSERT_TRUE(sender.Add(f).ok());
-    }
-    ASSERT_TRUE(sender.Flush().ok());
-    // The mangled envelope must surface as a typed error from the
-    // logical receiver (its checksum validation precedes unwrapping),
-    // never as a hang or a half-unwrapped sequence.
-    LogicalFrameReceiver receiver(&channel);
-    Result<std::vector<uint8_t>> got = receiver.Receive();
-    ASSERT_FALSE(got.ok());
-    EXPECT_EQ(got.status().code(), StatusCode::kParseError)
-        << got.status().ToString();
-  }
 }
 
 // ----------------------------------------------- varint primitives --

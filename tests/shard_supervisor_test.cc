@@ -82,7 +82,7 @@ DiscoveryOptions SupervisedOptions(
 
 // One injected fault, anywhere in the fleet, for every fault kind and a
 // sweep of frame positions (position 0 hits the base-partition
-// shipment, later positions hit candidate batches, result chunks and
+// shipment, later positions hit candidate batches, result frames and
 // the shutdown handshake): the run must complete with output
 // bit-identical to the unsharded run, and whenever the fault actually
 // fired the supervisor must have visibly recovered.
@@ -100,10 +100,18 @@ TEST(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
   const FlakyChannel::Fault kFaults[] = {
       FlakyChannel::Fault::kTornWrite, FlakyChannel::Fault::kShortRead,
       FlakyChannel::Fault::kCorruptByte, FlakyChannel::Fault::kDropFrame};
+  // A position counts the frames of one direction. Each base partition
+  // is its own frame, so on the send side position p > 0 (the p-th frame
+  // after the base shipment) is send number p + bases - 1.
+  const int bases = enc.num_columns();
   for (FlakyChannel::Fault fault : kFaults) {
-    for (int trigger : {0, 1, 2, 4}) {
+    const bool send_side = fault == FlakyChannel::Fault::kTornWrite ||
+                           fault == FlakyChannel::Fault::kDropFrame;
+    for (int position : {0, 1, 2, 4}) {
+      const int trigger =
+          send_side && position > 0 ? position + bases - 1 : position;
       SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
-                   " trigger=" + std::to_string(trigger));
+                   " position=" + std::to_string(position));
       std::atomic<int> budget{1};  // one fault total, wherever it lands
       DiscoveryOptions options = SupervisedOptions();
       options.shard_channel_decorator =
@@ -144,9 +152,10 @@ TEST(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
   DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
   ASSERT_TRUE(unsharded.shard_status.ok());
 
-  // The one send before the first candidate batch is the base-partition
-  // envelope; tearing the next send faults the level's candidate batch.
-  const int clean_sends = 1;
+  // The sends before the first candidate batch are the base partitions,
+  // one frame each; tearing the next send faults the level's candidate
+  // batch.
+  const int clean_sends = enc.num_columns();
   std::atomic<int> created{0};
   DiscoveryOptions options = SupervisedOptions();
   options.shard_channel_decorator =
@@ -265,7 +274,7 @@ TEST(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
 // A generous I/O timeout clamped by a 1-second run budget: every
 // receive must shrink its wait to the remaining budget instead of
 // parking for the full 30 s per attempt. Every attempt's first send —
-// the base-partition shipment — is dropped, so each runner waits on a
+// the first base partition — is dropped, so each runner waits on a
 // frame that never comes.
 TEST(ShardSupervisorTest, IoTimeoutIsClampedToTheRunDeadline) {
   Table t = GenerateNcVoterTable(60, 3, 5);
@@ -310,6 +319,10 @@ TEST(ShardSupervisorInprocTest, TransientFaultRetriesInPlace) {
   DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
   ASSERT_TRUE(unsharded.shard_status.ok());
 
+  // The runner's inbox is decorated too and receives the base
+  // partitions first, one frame each, so the fault lands on the first
+  // level's candidate batch.
+  const int bases = enc.num_columns();
   std::atomic<int> budget{1};
   DiscoveryOptions options = SupervisedOptions(ShardTransport::kInProcess);
   options.shard_channel_decorator =
@@ -317,7 +330,7 @@ TEST(ShardSupervisorInprocTest, TransientFaultRetriesInPlace) {
       -> std::unique_ptr<ShardChannel> {
     FlakyChannel::Plan plan;
     plan.fault = FlakyChannel::Fault::kCorruptByte;
-    plan.trigger_after = 1;
+    plan.trigger_after = bases;
     plan.shared_budget = &budget;
     return std::make_unique<FlakyChannel>(std::move(inner), plan);
   };

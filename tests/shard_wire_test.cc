@@ -229,9 +229,10 @@ TEST(ShardWireTest, UnsupportedVersionRejected) {
 
   // Stale peers get the same typed rejection: v5 (sliced table blocks,
   // row-range config), v6 (planner flag in kJobSubmit, no planner
-  // counters in the stats footer) and v7 (compressed-payload codec and
-  // flags bytes, decoded raw/wire counters in the stats footer).
-  for (uint8_t version : {5, 6, 7}) {
+  // counters in the stats footer), v7 (compressed-payload codec and
+  // flags bytes, decoded raw/wire counters in the stats footer) and v8
+  // (a flags byte in kResultBatch, batch envelopes).
+  for (uint8_t version : {5, 6, 7, 8}) {
     std::vector<uint8_t> old = shard::EncodeCandidateBatch({});
     old[4] = version;
     old[5] = 0;
@@ -250,10 +251,10 @@ TEST(ShardWireTest, FrameTypeMismatchRejectedByMessageDecoders) {
   EXPECT_FALSE(shard::DecodePartitionBlock(*decoded, 10).ok());
 
   // Retired numbers are unknown types, rejected by the frame layer
-  // before any decoder: 5 (the spawned runner's config block) sits
-  // inside the live range, 14 (the withdrawn v5 partition fragment) past
-  // its end.
-  for (uint8_t type : {shard::kRetiredFrameType, uint16_t{14}}) {
+  // before any decoder: 5 (the spawned runner's config block) and 8 (the
+  // batch envelope) sit inside the live range, 14 (the withdrawn v5
+  // partition fragment) past its end.
+  for (uint8_t type : {5, 8, 14}) {
     frame[6] = type;  // type field, little-endian at offset 6
     frame[7] = 0;
     Result<DecodedFrame> unknown = DecodeFrame(frame);
@@ -314,13 +315,12 @@ TEST(ShardWireTest, ResultBatchRoundTripIsBitExact) {
   outcomes.push_back(o);
   outcomes.push_back(WireOutcome{});
 
-  HeldFrame frame(shard::EncodeResultBatch(outcomes, /*final_chunk=*/true));
+  HeldFrame frame(shard::EncodeResultBatch(outcomes));
   ASSERT_TRUE(frame.ok());
-  Result<shard::WireResultChunk> back = shard::DecodeResultBatch(*frame);
+  Result<std::vector<WireOutcome>> back = shard::DecodeResultBatch(*frame);
   ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->final_chunk);
-  ASSERT_EQ(back->outcomes.size(), 2u);
-  const WireOutcome& b = back->outcomes[0];
+  ASSERT_EQ(back->size(), 2u);
+  const WireOutcome& b = (*back)[0];
   EXPECT_EQ(b.slot, 12u);
   EXPECT_TRUE(b.valid);
   EXPECT_TRUE(b.early_exit);
@@ -329,18 +329,7 @@ TEST(ShardWireTest, ResultBatchRoundTripIsBitExact) {
   EXPECT_EQ(b.interestingness, o.interestingness);
   EXPECT_EQ(b.seconds, o.seconds);
   EXPECT_EQ(b.removal_rows, o.removal_rows);
-  EXPECT_FALSE(back->outcomes[1].valid);
-
-  // A non-final chunk keeps its flag through the round trip too — the
-  // coordinator's stream reassembly depends on it.
-  HeldFrame open_chunk(
-      shard::EncodeResultBatch(outcomes, /*final_chunk=*/false));
-  ASSERT_TRUE(open_chunk.ok());
-  Result<shard::WireResultChunk> open = shard::DecodeResultBatch(*open_chunk);
-  ASSERT_TRUE(open.ok());
-  EXPECT_FALSE(open->final_chunk);
-  ASSERT_EQ(open->outcomes.size(), 2u);
-  EXPECT_EQ(open->outcomes[0].approx_factor, o.approx_factor);
+  EXPECT_FALSE((*back)[1].valid);
 }
 
 TEST(ShardWireTest, TableBlockRoundTripsRanksExactly) {
